@@ -40,11 +40,10 @@ func parseInts(s string) ([]int, error) {
 }
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (e1..e10, sparql, ingest, shard, planner, album, slo) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (e1..e10, sparql, ingest, shard, album, slo) or 'all'")
 	ingestQuads := flag.Int("ingestQuads", 100000, "statement count for the ingest and shard experiments")
 	shardCounts := flag.String("shardCounts", "1,2,4,8", "shard counts swept by the shard experiment")
 	shardReaders := flag.Int("shardReaders", 2, "concurrent leased readers during the shard experiment")
-	plannerUsers := flag.Int("plannerUsers", 400, "user count for the planner experiment's synthetic join shape")
 	albums := flag.Int("albums", 1000, "registered keyword albums for the album experiment")
 	albumIngest := flag.Duration("albumIngest", 1500*time.Millisecond, "concurrent-ingest window of the album experiment")
 	contents := flag.Int("contents", 300, "corpus size for the shared environment")
@@ -184,14 +183,6 @@ func main() {
 			log.Fatal(err)
 		}
 		emit("shard", rows, func() string { return experiments.ShardReport(rows) })
-	}
-	if sel("planner") {
-		section("planner", "§15 cost-based join ordering vs greedy per-row ordering")
-		rows, err := experiments.PlannerBench(*plannerUsers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		emit("planner", rows, func() string { return experiments.PlannerReport(rows) })
 	}
 	if sel("album") {
 		section("album", "§2.3 materialized semantic albums vs per-request evaluation under concurrent ingest")

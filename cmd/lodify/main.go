@@ -28,7 +28,6 @@ import (
 	"lodify/internal/obs"
 	"lodify/internal/resolver"
 	"lodify/internal/social"
-	"lodify/internal/sparql"
 	"lodify/internal/store"
 	"lodify/internal/ugc"
 	"lodify/internal/web"
@@ -45,12 +44,7 @@ func main() {
 	slowQuery := flag.Duration("slow-query", 500*time.Millisecond, "slow-query log threshold: queries at least this slow are captured with their plan profile on /debug/slowlog (0 captures every query, negative disables)")
 	traceExport := flag.String("trace-export", "", "append finished spans as OTLP-shaped JSON to this file (empty = disabled)")
 	shards := flag.Int("shards", 0, "store shard count, rounded up to a power of two (0 = GOMAXPROCS, 1 = legacy single-shard layout)")
-	planner := flag.String("planner", "cost", "BGP join planner: cost (statistics-driven DP) or greedy (legacy per-row ordering)")
 	flag.Parse()
-
-	if err := sparql.SetPlannerMode(*planner); err != nil {
-		log.Fatalf("planner: %v", err)
-	}
 
 	// Every store this process creates (the LOD world's and any
 	// auxiliary ones) honors the operator's shard choice.

@@ -1,7 +1,9 @@
 package analysis
 
 import (
+	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -176,6 +178,28 @@ func TestLoadRepo(t *testing.T) {
 	}
 	if len(pkg.Files) == 0 || pkg.Types == nil || pkg.Info == nil {
 		t.Errorf("incomplete package: files=%d types=%v", len(pkg.Files), pkg.Types)
+	}
+}
+
+// TestPackageDirsSkipsNestedModules: ./... stops at a directory with
+// its own go.mod (bench/ here), like the go tool's pattern does.
+func TestPackageDirsSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for _, f := range []string{"go.mod", "a.go", "sub/b.go", "nested/go.mod", "nested/c.go", "nested/deep/d.go"} {
+		p := filepath.Join(root, f)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dirs, err := packageDirs(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{root, filepath.Join(root, "sub")}; !reflect.DeepEqual(dirs, want) {
+		t.Fatalf("packageDirs = %v, want %v", dirs, want)
 	}
 }
 

@@ -290,7 +290,9 @@ func dropExternalTestFiles(files []*ast.File) []*ast.File {
 }
 
 // packageDirs returns every directory under root holding Go files,
-// skipping testdata, vendor and hidden/underscore directories.
+// skipping testdata, vendor, hidden/underscore directories and nested
+// modules (a directory with its own go.mod is outside ./..., as it is
+// for the go tool).
 func packageDirs(root string) ([]string, error) {
 	var dirs []string
 	err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
@@ -303,6 +305,9 @@ func packageDirs(root string) ([]string, error) {
 		name := d.Name()
 		if p != root && (name == "testdata" || name == "vendor" ||
 			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(p, "go.mod")); err == nil && p != root {
 			return filepath.SkipDir
 		}
 		ents, err := os.ReadDir(p)

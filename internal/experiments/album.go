@@ -14,164 +14,6 @@ import (
 	"lodify/internal/store"
 )
 
-// ---- Planner: §15 cost-based join ordering vs greedy (PR 9) ----
-
-// PlannerRow reports one query shape of the planner experiment: the
-// same query evaluated under the legacy greedy executor (per-row
-// selectivity re-ordering) and the cost-based DP planner
-// (statistics-driven order + hash-join selection), on identical data.
-type PlannerRow struct {
-	Query string
-	// Rows is the solution count — asserted identical across modes.
-	Rows int
-	// Greedy and Cost are mean per-evaluation latencies.
-	Greedy time.Duration
-	Cost   time.Duration
-	// Speedup is greedy / cost (>1 means the cost planner wins).
-	Speedup float64
-}
-
-// plannerWorld builds the multi-join shape the sweep queries: users
-// with names and a dense knows graph, posts with type/link/maker
-// edges, a sparse vip marker, and a small disconnected tag table that
-// rewards a hash join over per-row re-enumeration.
-func plannerWorld(users int) *store.Store {
-	st := store.NewSharded(0)
-	const (
-		foafName  = "http://xmlns.com/foaf/0.1/name"
-		foafKnows = "http://xmlns.com/foaf/0.1/knows"
-		foafMaker = "http://xmlns.com/foaf/0.1/maker"
-		commImage = "http://comm.semanticweb.org/core.owl#image-data"
-		postType  = "http://rdfs.org/sioc/types#MicroblogPost"
-		tagType   = "http://ex.org/vocab#Tag"
-		vipPred   = "http://ex.org/vocab#vip"
-	)
-	typ := rdf.NewIRI(rdf.RDFType)
-	user := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("http://ex.org/user/%d", i)) }
-	for i := 0; i < users; i++ {
-		st.MustAdd(rdf.Quad{S: user(i), P: rdf.NewIRI(foafName), O: rdf.NewLiteral(fmt.Sprintf("User %d", i))})
-		for j := 1; j <= 8; j++ {
-			st.MustAdd(rdf.Quad{S: user(i), P: rdf.NewIRI(foafKnows), O: user((i*7 + j) % users)})
-		}
-		if i%50 == 0 {
-			st.MustAdd(rdf.Quad{S: user(i), P: rdf.NewIRI(vipPred), O: rdf.NewLiteral("1")})
-		}
-	}
-	for k := 0; k < users*4; k++ {
-		post := rdf.NewIRI(fmt.Sprintf("http://ex.org/post/%d", k))
-		st.MustAdd(rdf.Quad{S: post, P: typ, O: rdf.NewIRI(postType)})
-		st.MustAdd(rdf.Quad{S: post, P: rdf.NewIRI(commImage), O: rdf.NewIRI(fmt.Sprintf("http://cdn.ex.org/%d.jpg", k))})
-		st.MustAdd(rdf.Quad{S: post, P: rdf.NewIRI(foafMaker), O: user(k % users)})
-	}
-	for t := 0; t < 200; t++ {
-		st.MustAdd(rdf.Quad{S: rdf.NewIRI(fmt.Sprintf("http://ex.org/tag/%d", t)), P: typ, O: rdf.NewIRI(tagType)})
-	}
-	return st
-}
-
-const plannerPrefix = `
-PREFIX foaf: <http://xmlns.com/foaf/0.1/>
-PREFIX sioct: <http://rdfs.org/sioc/types#>
-PREFIX comm: <http://comm.semanticweb.org/core.owl#>
-PREFIX ex: <http://ex.org/vocab#>
-`
-
-// plannerQueries are the swept shapes. vip-chain rewards ordering from
-// the sparse marker outward; star-join measures fixed-order execution
-// against per-row count probes; cartesian-tag has a disconnected
-// pattern only a hash join evaluates without re-enumeration.
-var plannerQueries = []struct{ Name, Src string }{
-	{"vip-chain", plannerPrefix + `
-SELECT ?post ?link WHERE {
-  ?post comm:image-data ?link .
-  ?post a sioct:MicroblogPost .
-  ?post foaf:maker ?u .
-  ?u foaf:knows ?f .
-  ?f ex:vip ?flag .
-}`},
-	{"star-join", plannerPrefix + `
-SELECT ?post ?link ?n WHERE {
-  ?post a sioct:MicroblogPost .
-  ?post comm:image-data ?link .
-  ?post foaf:maker ?u .
-  ?u foaf:name ?n .
-}`},
-	{"cartesian-tag", plannerPrefix + `
-SELECT ?post ?tag WHERE {
-  ?post a sioct:MicroblogPost .
-  ?post comm:image-data ?link .
-  ?tag a ex:Tag .
-}`},
-}
-
-// PlannerBench times every planner query under both modes and checks
-// the modes agree on the result size. The previous planner mode is
-// restored on return.
-func PlannerBench(users int) ([]PlannerRow, error) {
-	if users <= 0 {
-		users = 400
-	}
-	st := plannerWorld(users)
-	eng := sparql.NewEngine(st)
-
-	prev := sparql.PlannerMode()
-	defer sparql.SetPlannerMode(prev)
-
-	const reps = 5
-	run := func(mode, src string) (int, time.Duration, error) {
-		if err := sparql.SetPlannerMode(mode); err != nil {
-			return 0, 0, err
-		}
-		res, err := eng.Query(src) // warm caches and capture the row count
-		if err != nil {
-			return 0, 0, err
-		}
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := eng.Query(src); err != nil {
-				return 0, 0, err
-			}
-		}
-		return len(res.Solutions), time.Since(start) / reps, nil
-	}
-
-	var rows []PlannerRow
-	for _, q := range plannerQueries {
-		gRows, gDur, err := run("greedy", q.Src)
-		if err != nil {
-			return nil, fmt.Errorf("planner: %s (greedy): %w", q.Name, err)
-		}
-		cRows, cDur, err := run("cost", q.Src)
-		if err != nil {
-			return nil, fmt.Errorf("planner: %s (cost): %w", q.Name, err)
-		}
-		if gRows != cRows {
-			return nil, fmt.Errorf("planner: %s: greedy returned %d rows, cost %d", q.Name, gRows, cRows)
-		}
-		if gRows == 0 {
-			return nil, fmt.Errorf("planner: %s: vacuous (0 rows)", q.Name)
-		}
-		rows = append(rows, PlannerRow{
-			Query: q.Name, Rows: gRows, Greedy: gDur, Cost: cDur,
-			Speedup: gDur.Seconds() / cDur.Seconds(),
-		})
-	}
-	return rows, nil
-}
-
-// PlannerReport renders the greedy-vs-cost table.
-func PlannerReport(rows []PlannerRow) string {
-	header := []string{"query", "rows", "greedy", "cost", "speedup"}
-	var body [][]string
-	for _, r := range rows {
-		body = append(body, []string{
-			r.Query, itoa(r.Rows), ms(r.Greedy), ms(r.Cost),
-			fmt.Sprintf("%.2fx", r.Speedup),
-		})
-	}
-	return Table(header, body)
-}
-
 // ---- Album: materialized semantic albums under concurrent ingest ----
 
 // AlbumRow reports the materialized-album experiment: N keyword albums

@@ -2,10 +2,12 @@ package resolver
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"lodify/internal/lod"
 	"lodify/internal/rdf"
+	"lodify/internal/store"
 )
 
 func world(t *testing.T) *lod.World {
@@ -157,6 +159,53 @@ func TestZemantaSpotsAcrossGraphs(t *testing.T) {
 	}
 	if !sawEiffel || !sawParis {
 		t.Fatalf("eiffel=%v paris=%v in %+v", sawEiffel, sawParis, cands)
+	}
+}
+
+// TestCandidatesIndependentOfInsertionOrder: which of a resource's
+// language labels a resolver scores must not depend on the order the
+// label quads reached the store (ids, hence index scan order, follow
+// insertion order). "Louvre" scores 1.0 against the English label and
+// below the §2.2 0.8 cut against the French one, so keeping whichever
+// label the scan met first made annotation boot-dependent.
+func TestCandidatesIndependentOfInsertionOrder(t *testing.T) {
+	label := rdf.NewIRI(rdf.RDFSLabel)
+	dbp, gn := rdf.NewIRI(lod.DBpediaGraph), rdf.NewIRI(lod.GeonamesGraph)
+	louvre := rdf.NewIRI(lod.DBpediaResource + "Louvre")
+	lens := rdf.NewIRI("http://sws.geonames.org/2998324/")
+	quads := []rdf.Quad{
+		{S: louvre, P: label, O: rdf.NewLangLiteral("Musée du Louvre", "fr"), G: dbp},
+		{S: louvre, P: label, O: rdf.NewLangLiteral("Louvre", "en"), G: dbp},
+		{S: louvre, P: label, O: rdf.NewLangLiteral("Louvre Museum", "de"), G: dbp},
+		{S: lens, P: label, O: rdf.NewLiteral("Louvre-Lens"), G: gn},
+		{S: lens, P: label, O: rdf.NewLiteral("Louvre"), G: gn},
+	}
+	build := func(reverse bool) *Broker {
+		st := store.New()
+		for i := range quads {
+			if reverse {
+				i = len(quads) - 1 - i
+			}
+			st.MustAdd(quads[i])
+		}
+		return DefaultBroker(st)
+	}
+	fwd, rev := build(false), build(true)
+	for i, r := range fwd.term {
+		a, b := r.ResolveTerm("Louvre", "fr", 8), rev.term[i].ResolveTerm("Louvre", "fr", 8)
+		if len(a) == 0 || !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: candidates depend on insertion order:\n  forward: %+v\n  reverse: %+v", r.Name(), a, b)
+		}
+	}
+	for i, r := range fwd.text {
+		a, b := r.ResolveText("Une visite au Louvre", "fr", 8), rev.text[i].ResolveText("Une visite au Louvre", "fr", 8)
+		if len(a) == 0 || !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: candidates depend on insertion order:\n  forward: %+v\n  reverse: %+v", r.Name(), a, b)
+		}
+	}
+	// And the label kept is the one that scores best against the term.
+	if got := fwd.term[0].ResolveTerm("Louvre", "fr", 8); got[0].Label != "Louvre" || got[0].Score < 0.95 {
+		t.Errorf("dbpedia kept %q (score %.2f), want the exact label", got[0].Label, got[0].Score)
 	}
 }
 

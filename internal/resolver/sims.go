@@ -24,6 +24,13 @@ type labelEntry struct {
 	label rdf.Term
 }
 
+// scoredLabel is a label entry with its Jaro-Winkler score against the
+// term it was looked up for.
+type scoredLabel struct {
+	labelEntry
+	score float64
+}
+
 func newLabelIndex(st *store.Store, graphs ...string) *labelIndex {
 	ix := &labelIndex{st: st, byToken: map[string][]labelEntry{}, graphs: map[string]bool{}}
 	for _, g := range graphs {
@@ -42,22 +49,36 @@ func newLabelIndex(st *store.Store, graphs ...string) *labelIndex {
 	return ix
 }
 
-// lookup returns entries whose label contains every token of term.
-func (ix *labelIndex) lookup(term string) []labelEntry {
+// lookup returns, per resource, its best label among those containing
+// every token of term.
+func (ix *labelIndex) lookup(term string) []scoredLabel {
+	return ix.bestLabels(term, func(e labelEntry) bool { return store.ContainsAll(e.label.Value(), term) })
+}
+
+// bestLabels returns one entry per resource among the labels that
+// share term's first token and pass keep: the label scoring highest
+// against term, ties going to the smaller label. Which of a resource's
+// language labels gets scored must not depend on index-build order —
+// that follows store scan order, which differs from boot to boot.
+// Entries come back sorted by resource.
+func (ix *labelIndex) bestLabels(term string, keep func(labelEntry) bool) []scoredLabel {
 	toks := store.Tokenize(term)
 	if len(toks) == 0 {
 		return nil
 	}
-	seen := map[rdf.Term]labelEntry{}
+	best := map[rdf.Term]scoredLabel{}
 	for _, e := range ix.byToken[toks[0]] {
-		if store.ContainsAll(e.label.Value(), term) {
-			if _, dup := seen[e.res]; !dup {
-				seen[e.res] = e
-			}
+		if !keep(e) {
+			continue
+		}
+		sc := textsim.JaroWinklerFold(term, e.label.Value())
+		if prev, dup := best[e.res]; !dup || sc > prev.score ||
+			sc == prev.score && e.label.Compare(prev.label) < 0 {
+			best[e.res] = scoredLabel{e, sc}
 		}
 	}
-	out := make([]labelEntry, 0, len(seen))
-	for _, e := range seen {
+	out := make([]scoredLabel, 0, len(best))
+	for _, e := range best {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].res.Compare(out[j].res) < 0 })
@@ -102,7 +123,7 @@ func (r *DBpediaResolver) ResolveTerm(term, lang string, limit int) []Candidate 
 		if !r.st.FirstObject(res, disambiguates).IsZero() {
 			continue
 		}
-		score := textsim.JaroWinklerFold(term, e.label.Value())
+		score := e.score
 		// Language preference: labels matching the query language get
 		// a native boost.
 		if lang != "" && e.label.Lang() == lang {
@@ -145,7 +166,7 @@ func (r *GeonamesResolver) ResolveTerm(term, lang string, limit int) []Candidate
 			Label:    e.label.Value(),
 			Graph:    GraphOf(e.res),
 			Types:    r.ix.typesOf(e.res),
-			Score:    textsim.JaroWinklerFold(term, e.label.Value()),
+			Score:    e.score,
 			Resolver: r.Name(),
 			Word:     term,
 		})
@@ -173,20 +194,11 @@ func (r *SindiceResolver) Name() string { return "sindice" }
 
 // ResolveTerm implements TermResolver.
 func (r *SindiceResolver) ResolveTerm(term, lang string, limit int) []Candidate {
-	toks := store.Tokenize(term)
-	if len(toks) == 0 {
-		return nil
-	}
 	// Fuzzy: any label sharing the first token is a candidate, even
 	// when the full term does not match (web-index noise).
-	seen := map[rdf.Term]bool{}
 	var out []Candidate
-	for _, e := range r.ix.byToken[toks[0]] {
-		if seen[e.res] {
-			continue
-		}
-		seen[e.res] = true
-		score := textsim.JaroWinklerFold(term, e.label.Value()) * 0.9 // noisier
+	for _, e := range r.ix.bestLabels(term, func(labelEntry) bool { return true }) {
+		score := e.score * 0.9 // noisier
 		out = append(out, Candidate{
 			Resource: e.res,
 			Label:    e.label.Value(),
@@ -272,7 +284,7 @@ func spotEntities(ix *labelIndex, title, lang string, limit int, name string, da
 					Lang:     e.label.Lang(),
 					Graph:    GraphOf(e.res),
 					Types:    ix.typesOf(e.res),
-					Score:    clamp(score * textsim.JaroWinklerFold(span, e.label.Value())),
+					Score:    clamp(score * e.score),
 					Resolver: name,
 					Word:     span,
 				})

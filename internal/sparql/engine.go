@@ -156,41 +156,55 @@ func (e *Engine) exec(ex *executor, q *Query) (*Result, error) {
 		}
 		return &Result{Form: FormConstruct, Triples: g.Sorted()}, nil
 	case FormDescribe:
-		targets := append([]rdf.Term(nil), q.DescribeTerms...)
+		// Targets resolve to ids before the lease is taken; one the
+		// dictionary has never seen describes to nothing.
+		var ids []store.TermID
+		target := func(t rdf.Term) {
+			if id, ok := e.st.LookupID(t); ok {
+				ids = append(ids, id)
+			}
+		}
+		for _, t := range q.DescribeTerms {
+			target(t)
+		}
 		if len(q.DescribeVars) > 0 {
 			all := *q
 			all.Star = true
 			sols, _ := ex.evalQuery(&all)
 			for _, sol := range sols {
 				for _, v := range q.DescribeVars {
-					if t, ok := sol[v]; ok {
-						targets = append(targets, t)
-					}
+					target(sol[v])
 				}
 			}
 		}
 		g := rdf.NewGraph()
-		seen := map[rdf.Term]bool{}
-		for _, t := range targets {
-			e.describeInto(t, g, seen)
+		seen := map[store.TermID]bool{}
+		lease := e.st.ReadLease()
+		ex.prof.addLease(lease.Wait())
+		for _, id := range ids {
+			describeInto(lease, id, g, seen)
 		}
+		lease.Release()
 		return &Result{Form: FormDescribe, Triples: g.Sorted()}, nil
 	default:
 		return nil, fmt.Errorf("sparql: unsupported query form %v", q.Form)
 	}
 }
 
-// describeInto adds the concise bounded description of t: all triples
-// with subject t, recursing through blank-node objects.
-func (e *Engine) describeInto(t rdf.Term, g *rdf.Graph, seen map[rdf.Term]bool) {
-	if seen[t] || t.IsZero() || t.IsLiteral() {
+// describeInto adds the concise bounded description of the term with
+// the given id: all triples with that subject, recursing through
+// blank-node objects. Id 0 (the zero term) is a wildcard to the store
+// and describes nothing.
+func describeInto(lease *store.Lease, id store.TermID, g *rdf.Graph, seen map[store.TermID]bool) {
+	if id == 0 || seen[id] {
 		return
 	}
-	seen[t] = true
-	e.st.Match(t, rdf.Term{}, rdf.Term{}, rdf.Term{}, func(q rdf.Quad) bool {
-		g.Add(q.Triple())
-		if q.O.IsBlank() {
-			e.describeInto(q.O, g, seen)
+	seen[id] = true
+	lease.MatchIDs(id, 0, 0, store.AnyGraph, func(s, p, o, _ store.TermID) bool {
+		obj := lease.TermOf(o)
+		g.Add(rdf.Triple{S: lease.TermOf(s), P: lease.TermOf(p), O: obj})
+		if obj.IsBlank() {
+			describeInto(lease, o, g, seen)
 		}
 		return true
 	})

@@ -3,7 +3,6 @@ package sparql
 import (
 	"regexp"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -52,7 +51,7 @@ type executor struct {
 	// plan-shaped tree (EXPLAIN ANALYZE / slow-query capture). Nil
 	// keeps the hot path at one pointer check per node.
 	prof *profiler
-	// plans caches cost-based BGP plans per (syntax node, graph) for
+	// plans caches BGP plans per (syntax node, graph, input mask) for
 	// this execution — OPTIONAL inner BGPs re-evaluate per input row
 	// and must not re-plan (planner.go).
 	plans map[planKey]*bgpPlan
@@ -367,8 +366,8 @@ func (ex *executor) graphID() (store.TermID, bool) {
 }
 
 // evalBGP joins the triple patterns against the store for every input
-// row, entirely in id space. Plain patterns join first
-// (selectivity-ordered); property-path patterns extend the result
+// row, entirely in id space. Plain patterns join first, in the
+// planner's order; property-path patterns extend the result
 // afterwards, when endpoint bindings are available.
 func (ex *executor) evalBGP(bgp *BGP, input []row) []row {
 	var plain, paths []TriplePattern
@@ -383,28 +382,14 @@ func (ex *executor) evalBGP(bgp *BGP, input []row) []row {
 	if len(plain) > 0 {
 		cp, okP := ex.compileBGP(plain)
 		gid, okG := ex.graphID()
-		switch {
-		case !okP || !okG:
-			cur = nil
-		default:
-			if ex.obsStats {
-				ex.observePredCards(plain, cp, gid)
-			}
-			if plan := ex.planBGP(bgp, cp, gid, len(cur), inputBoundMask(cur)); plan != nil {
-				cur = ex.execPlan(plan, plain, cp, gid, cur)
-				break
-			}
-			if len(cur) >= bgpParallelThreshold && bgpMaxWorkers > 1 {
-				cur = ex.joinRowsParallel(cp, gid, cur)
-				break
-			}
-			lease := ex.st.ReadLease()
-			ex.prof.addLease(lease.Wait())
-			out := ex.joinRowsSeq(lease, cp, gid, cur)
-			lease.Release()
-			atomic.AddInt64(&ex.rowsJoined, int64(len(out)))
-			cur = out
+		if !okP || !okG {
+			return nil
 		}
+		if ex.obsStats {
+			ex.observePredCards(plain, cp, gid)
+		}
+		plan := ex.planBGP(bgp, cp, gid, len(cur), inputBoundMask(cur))
+		cur = ex.execPlan(plan, plain, cp, gid, cur)
 	}
 	for _, tp := range paths {
 		if len(cur) == 0 {
@@ -415,125 +400,6 @@ func (ex *executor) evalBGP(bgp *BGP, input []row) []row {
 	return cur
 }
 
-// joinRowsSeq joins the compiled patterns for each input row under one
-// read lease. The per-row scratch state (binding row + used mask) is
-// reused across rows: backtracking fully restores it after each row.
-func (ex *executor) joinRowsSeq(lease *store.Lease, cp []compiledPattern, gid store.TermID, input []row) []row {
-	if len(input) == 0 {
-		return nil
-	}
-	used := make([]bool, len(cp))
-	scratch := make(row, len(input[0]))
-	var out []row
-	for _, r := range input {
-		copy(scratch, r)
-		out = ex.joinStep(lease, cp, used, len(cp), gid, scratch, out)
-	}
-	return out
-}
-
-// joinRowsParallel fans the join out over contiguous chunks of the
-// input rows. Each worker holds its own lease and produces only store
-// ids (pattern matching never interns), so workers share no mutable
-// state; chunk results concatenate in order, keeping the output
-// identical to the sequential path.
-func (ex *executor) joinRowsParallel(cp []compiledPattern, gid store.TermID, input []row) []row {
-	mBGPParallel.Inc()
-	workers := bgpMaxWorkers
-	if workers > len(input) {
-		workers = len(input)
-	}
-	chunk := (len(input) + workers - 1) / workers
-	results := make([][]row, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(input) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(input) {
-			hi = len(input)
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			lease := ex.st.ReadLease()
-			defer lease.Release()
-			ex.prof.addLease(lease.Wait())
-			out := ex.joinRowsSeq(lease, cp, gid, input[lo:hi])
-			atomic.AddInt64(&ex.rowsJoined, int64(len(out)))
-			results[w] = out
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	out := make([]row, 0, total)
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out
-}
-
-// joinStep recursively joins the unused patterns into cur, greedily
-// choosing the most selective one next (CountIDs estimates under the
-// current bindings drive the order, exactly as the term-space executor
-// did with Count). Bindings happen in place with backtracking; cur is
-// cloned only when a complete solution is emitted.
-func (ex *executor) joinStep(lease *store.Lease, cp []compiledPattern, used []bool, remaining int, gid store.TermID, cur row, out []row) []row {
-	if remaining == 0 {
-		return append(out, cur.clone())
-	}
-	best, bestCount := -1, int(^uint(0)>>1)
-	for i := range cp {
-		if used[i] {
-			continue
-		}
-		s, p, o := resolveIDs(cp[i], cur)
-		c := lease.CountIDs(s, p, o, gid)
-		if c == 0 {
-			return out // a pattern with no matches kills this branch
-		}
-		if c < bestCount {
-			best, bestCount = i, c
-		}
-	}
-	pat := cp[best]
-	used[best] = true
-	s, p, o := resolveIDs(pat, cur)
-	lease.MatchIDs(s, p, o, gid, func(ms, mp, mo, _ store.TermID) bool {
-		// Bind the unbound variable positions, tracking slots to undo.
-		// Already-bound slots were substituted into the scan pattern, so
-		// they can only conflict on repeated-variable patterns.
-		var touched [3]int
-		n := 0
-		bind := func(ct cpTerm, val store.TermID) bool {
-			if ct.slot < 0 {
-				return true
-			}
-			if cur[ct.slot] != 0 {
-				return cur[ct.slot] == val
-			}
-			cur[ct.slot] = val
-			touched[n] = ct.slot
-			n++
-			return true
-		}
-		if bind(pat.s, ms) && bind(pat.p, mp) && bind(pat.o, mo) {
-			out = ex.joinStep(lease, cp, used, remaining-1, gid, cur, out)
-		}
-		for i := 0; i < n; i++ {
-			cur[touched[i]] = 0
-		}
-		return true
-	})
-	used[best] = false
-	return out
-}
-
 // observePredCards feeds the planner statistics sink: for every plain
 // pattern with a constant predicate, the maintained per-(predicate,
 // graph) count plus distinct-subject/object estimates, recorded
@@ -541,7 +407,7 @@ func (ex *executor) joinStep(lease *store.Lease, cp []compiledPattern, used []bo
 // updates: no per-query allocation). PredStatIDs merges the per-shard
 // series under shard read locks — cheaper than the CountIDs index
 // walk this used to pay — and must not run under a held read lease;
-// here it doesn't, leases are taken later inside the join paths.
+// here it doesn't, leases are taken later inside execPlan.
 func (ex *executor) observePredCards(plain []TriplePattern, cp []compiledPattern, gid store.TermID) {
 	for i, tp := range plain {
 		if tp.P.IsVar() || cp[i].p.slot >= 0 || cp[i].p.id == 0 {
@@ -553,14 +419,17 @@ func (ex *executor) observePredCards(plain []TriplePattern, cp []compiledPattern
 	}
 }
 
-// resolveIDs substitutes the current bindings into a compiled pattern,
-// yielding the id triple to scan for (0 = wildcard).
-func resolveIDs(p compiledPattern, cur row) (s, pr, o store.TermID) {
-	get := func(ct cpTerm) store.TermID {
-		if ct.slot >= 0 {
-			return cur[ct.slot]
-		}
-		return ct.id
+// resolve substitutes the current bindings into one pattern position,
+// yielding the id to scan for (0 = wildcard).
+func (ct cpTerm) resolve(cur row) store.TermID {
+	if ct.slot >= 0 {
+		return cur[ct.slot]
 	}
-	return get(p.s), get(p.p), get(p.o)
+	return ct.id
+}
+
+// resolveIDs yields the id triple to scan for under the current
+// bindings.
+func resolveIDs(p compiledPattern, cur row) (s, pr, o store.TermID) {
+	return p.s.resolve(cur), p.p.resolve(cur), p.o.resolve(cur)
 }

@@ -50,8 +50,7 @@ func (e *Engine) Explain(ctx context.Context, src string, analyze bool) (*Explan
 }
 
 // staticPlan builds the operator tree without executing, annotating
-// BGPs with the most selective pattern's store count — the bound the
-// greedy join order starts from.
+// BGPs with the planner's steps and estimates.
 func (e *Engine) staticPlan(q *Query) *PlanNode {
 	root := &PlanNode{Op: formName(q.Form)}
 	if q.Where != nil {
@@ -99,10 +98,9 @@ func (e *Engine) staticNode(n PatternNode) *PlanNode {
 
 // staticBGPPlan plans the BGP against the live statistics and renders
 // its join steps as child plan nodes (op scan/hash-join, cumulative
-// estimate per step). When the planner declines — greedy mode pinned,
-// too many patterns — it falls back to the greedy bound with no step
-// children. Static planning has no GRAPH context, so it estimates
-// across all graphs, like estimateBGP always has.
+// estimate per step). Static planning has no GRAPH context, so it
+// estimates across all graphs. A constant the dictionary has never
+// seen, like an exact-zero pattern, plans to 0 rows and no steps.
 func (e *Engine) staticBGPPlan(node *BGP) (int64, []*PlanNode) {
 	var plain []TriplePattern
 	for _, tp := range node.Triples {
@@ -120,9 +118,6 @@ func (e *Engine) staticBGPPlan(node *BGP) (int64, []*PlanNode) {
 		return 0, nil
 	}
 	plan := ex.planBGP(node, cp, store.AnyGraph, 1, 0)
-	if plan == nil {
-		return e.estimateBGP(node), nil
-	}
 	if plan.empty {
 		return 0, nil
 	}
@@ -137,42 +132,6 @@ func (e *Engine) staticBGPPlan(node *BGP) (int64, []*PlanNode) {
 		})
 	}
 	return plan.est, children
-}
-
-// estimateBGP returns the smallest per-pattern match count — the
-// cardinality the greedy join picks its first pattern by. 0 means a
-// pattern can never match (unknown constant).
-func (e *Engine) estimateBGP(bgp *BGP) int64 {
-	best := int64(-1)
-	for _, tp := range bgp.Triples {
-		if tp.Path != nil {
-			continue
-		}
-		ids := [3]store.TermID{}
-		ok := true
-		for i, pt := range [3]PatternTerm{tp.S, tp.P, tp.O} {
-			if pt.IsVar() || pt.Term.IsZero() || pt.Term.IsBlank() {
-				continue
-			}
-			id, found := e.st.LookupID(pt.Term)
-			if !found {
-				ok = false
-				break
-			}
-			ids[i] = id
-		}
-		if !ok {
-			return 0
-		}
-		c := int64(e.st.CountIDs(ids[0], ids[1], ids[2], store.AnyGraph))
-		if best < 0 || c < best {
-			best = c
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
 }
 
 // NormalizeQuery collapses a query's whitespace to single spaces (the

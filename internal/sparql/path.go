@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"lodify/internal/rdf"
+	"lodify/internal/store"
 )
 
 // SPARQL 1.1 property paths: iri, ^inverse, seq/seq, alt|alt, elt*,
@@ -125,18 +126,65 @@ func (p *parser) pathPrimary() (*PathExpr, error) {
 
 // ---- evaluation ----
 
+// pair is an (s, o) match of a path, in id space.
+type pair [2]store.TermID
+
+// pairList accumulates pairs in first-seen order, dropping repeats.
+type pairList struct {
+	seen map[pair]bool
+	out  []pair
+}
+
+func (l *pairList) add(prs ...pair) {
+	if l.seen == nil {
+		l.seen = map[pair]bool{}
+	}
+	for _, pr := range prs {
+		if !l.seen[pr] {
+			l.seen[pr] = true
+			l.out = append(l.out, pr)
+		}
+	}
+}
+
+// pathEval evaluates one path pattern for all of its input rows under
+// a single read lease, so every hop of every closure sees the same
+// committed state.
+type pathEval struct {
+	lease *store.Lease
+	// gid is the GRAPH restriction; graphOK=false means it names a graph
+	// the store does not have, where only zero-length matches exist.
+	gid     store.TermID
+	graphOK bool
+	// preds resolves each PathIRI node's predicate; 0 = not in the store.
+	preds map[*PathExpr]store.TermID
+}
+
 // evalPathPattern extends each solution row by matching (s path o).
-// Path evaluation itself runs in term space (closures hop between
-// arbitrary nodes), so endpoints cross the id/term boundary here.
+// Endpoint constants and predicates resolve to ids before the lease is
+// taken; a term the dictionary has never seen gets a query-local id,
+// which still yields its zero-length match.
 func (ex *executor) evalPathPattern(tp TriplePattern, input []row) []row {
+	end := func(pt PatternTerm) cpTerm {
+		if pt.IsVar() {
+			return cpTerm{slot: ex.fr.slots[pt.Var]}
+		}
+		return cpTerm{slot: -1, id: ex.dict.idOf(pt.Term)}
+	}
+	sEnd, oEnd := end(tp.S), end(tp.O)
+	pe := &pathEval{preds: map[*PathExpr]store.TermID{}}
+	pe.gid, pe.graphOK = ex.graphID()
+	ex.resolvePathPreds(tp.Path, pe.preds)
+
+	lease := ex.st.ReadLease()
+	defer lease.Release()
+	ex.prof.addLease(lease.Wait())
+	pe.lease = lease
 	var out []row
 	for _, r := range input {
-		sVal := ex.resolvePT(tp.S, r)
-		oVal := ex.resolvePT(tp.O, r)
-		pairs := ex.evalPath(tp.Path, sVal, oVal)
-		for _, pr := range pairs {
+		for _, pr := range pe.eval(tp.Path, sEnd.resolve(r), oEnd.resolve(r)) {
 			ext := r.clone()
-			if ex.bindPT(ext, tp.S, pr[0]) && ex.bindPT(ext, tp.O, pr[1]) {
+			if bindEnd(ext, sEnd, pr[0]) && bindEnd(ext, oEnd, pr[1]) {
 				out = append(out, ext)
 			}
 		}
@@ -144,42 +192,65 @@ func (ex *executor) evalPathPattern(tp TriplePattern, input []row) []row {
 	return out
 }
 
-func (ex *executor) resolvePT(pt PatternTerm, r row) rdf.Term {
-	if pt.IsVar() {
-		return ex.dict.termOf(r[ex.fr.slots[pt.Var]])
+// bindEnd binds one path endpoint into an extended row: a repeated
+// variable must match its earlier binding.
+func bindEnd(r row, ct cpTerm, val store.TermID) bool {
+	if ct.slot < 0 {
+		return true
 	}
-	return pt.Term
-}
-
-func (ex *executor) bindPT(r row, pt PatternTerm, val rdf.Term) bool {
-	if !pt.IsVar() {
-		return pt.Term.Equal(val) || pt.Term.IsBlank()
+	if r[ct.slot] != 0 {
+		return r[ct.slot] == val
 	}
-	slot := ex.fr.slots[pt.Var]
-	id := ex.dict.idOf(val)
-	if r[slot] != 0 {
-		return r[slot] == id
-	}
-	r[slot] = id
+	r[ct.slot] = val
 	return true
 }
 
-// pair is an (s, o) match of a path.
-type pair [2]rdf.Term
+func (ex *executor) resolvePathPreds(path *PathExpr, into map[*PathExpr]store.TermID) {
+	if path == nil {
+		return
+	}
+	if path.Kind == PathIRI {
+		into[path], _ = ex.st.LookupID(path.IRI)
+	}
+	ex.resolvePathPreds(path.Left, into)
+	ex.resolvePathPreds(path.Right, into)
+}
 
-// evalPath returns the (s,o) pairs connected by the path, restricted
-// to the given endpoint constraints (zero Terms are wildcards).
-func (ex *executor) evalPath(path *PathExpr, s, o rdf.Term) []pair {
+// scan collects the (s, o) ends of the quads matching the id pattern
+// in the pattern's graph scope.
+func (pe *pathEval) scan(s, p, o store.TermID) []pair {
+	if !pe.graphOK {
+		return nil
+	}
+	var out []pair
+	pe.lease.MatchIDs(s, p, o, pe.gid, func(ms, _, mo, _ store.TermID) bool {
+		out = append(out, pair{ms, mo})
+		return true
+	})
+	return out
+}
+
+// eval returns the (s,o) pairs connected by the path, restricted to
+// the given endpoint constraints (0 is a wildcard).
+func (pe *pathEval) eval(path *PathExpr, s, o store.TermID) []pair {
 	switch path.Kind {
 	case PathIRI:
-		var out []pair
-		ex.st.Match(s, path.IRI, o, ex.graph, func(q rdf.Quad) bool {
-			out = append(out, pair{q.S, q.O})
-			return true
-		})
-		return out
+		// A predicate the store has never seen matches nothing. Neither
+		// does a query-local endpoint: it is in no quad, and its id must
+		// not reach the store, where it would alias an unrelated term.
+		p := pe.preds[path]
+		if p == 0 {
+			return nil
+		}
+		if s&localIDBit != 0 {
+			return nil
+		}
+		if o&localIDBit != 0 {
+			return nil
+		}
+		return pe.scan(s, p, o)
 	case PathInverse:
-		inv := ex.evalPath(path.Left, o, s)
+		inv := pe.eval(path.Left, o, s)
 		out := make([]pair, len(inv))
 		for i, pr := range inv {
 			out[i] = pair{pr[1], pr[0]}
@@ -187,85 +258,54 @@ func (ex *executor) evalPath(path *PathExpr, s, o rdf.Term) []pair {
 		return out
 	case PathSeq:
 		// Evaluate the more constrained side first.
-		var out []pair
-		seen := map[pair]bool{}
-		if !s.IsZero() || o.IsZero() {
-			left := ex.evalPath(path.Left, s, rdf.Term{})
-			for _, lp := range left {
-				for _, rp := range ex.evalPath(path.Right, lp[1], o) {
-					p := pair{lp[0], rp[1]}
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
-					}
+		var l pairList
+		if s != 0 || o == 0 {
+			for _, lp := range pe.eval(path.Left, s, 0) {
+				for _, rp := range pe.eval(path.Right, lp[1], o) {
+					l.add(pair{lp[0], rp[1]})
 				}
 			}
 		} else {
-			right := ex.evalPath(path.Right, rdf.Term{}, o)
-			for _, rp := range right {
-				for _, lp := range ex.evalPath(path.Left, rdf.Term{}, rp[0]) {
-					p := pair{lp[0], rp[1]}
-					if !seen[p] {
-						seen[p] = true
-						out = append(out, p)
-					}
+			for _, rp := range pe.eval(path.Right, 0, o) {
+				for _, lp := range pe.eval(path.Left, 0, rp[0]) {
+					l.add(pair{lp[0], rp[1]})
 				}
 			}
 		}
-		return out
+		return l.out
 	case PathAlt:
-		seen := map[pair]bool{}
-		var out []pair
-		for _, pr := range ex.evalPath(path.Left, s, o) {
-			if !seen[pr] {
-				seen[pr] = true
-				out = append(out, pr)
-			}
-		}
-		for _, pr := range ex.evalPath(path.Right, s, o) {
-			if !seen[pr] {
-				seen[pr] = true
-				out = append(out, pr)
-			}
-		}
-		return out
+		var l pairList
+		l.add(pe.eval(path.Left, s, o)...)
+		l.add(pe.eval(path.Right, s, o)...)
+		return l.out
 	case PathZeroOrOne:
-		seen := map[pair]bool{}
-		var out []pair
-		for _, pr := range ex.pathReflexive(s, o) {
-			seen[pr] = true
-			out = append(out, pr)
-		}
-		for _, pr := range ex.evalPath(path.Left, s, o) {
-			if !seen[pr] {
-				seen[pr] = true
-				out = append(out, pr)
-			}
-		}
-		return out
+		var l pairList
+		l.add(pe.reflexive(s, o)...)
+		l.add(pe.eval(path.Left, s, o)...)
+		return l.out
 	case PathOneOrMore, PathZeroOrMore:
-		return ex.evalClosure(path, s, o)
+		return pe.closure(path, s, o)
 	default:
 		return nil
 	}
 }
 
-// pathReflexive yields the zero-length matches: (x,x) for the
-// constrained endpoints, or every graph node when both are wild.
-func (ex *executor) pathReflexive(s, o rdf.Term) []pair {
+// reflexive yields the zero-length matches: (x,x) for the constrained
+// endpoints, or every graph node when both are wild.
+func (pe *pathEval) reflexive(s, o store.TermID) []pair {
 	switch {
-	case !s.IsZero() && !o.IsZero():
-		if s.Equal(o) {
+	case s != 0 && o != 0:
+		if s == o {
 			return []pair{{s, o}}
 		}
 		return nil
-	case !s.IsZero():
+	case s != 0:
 		return []pair{{s, s}}
-	case !o.IsZero():
+	case o != 0:
 		return []pair{{o, o}}
 	default:
 		var out []pair
-		for _, n := range ex.graphNodes() {
+		for _, n := range pe.graphNodes() {
 			out = append(out, pair{n, n})
 		}
 		return out
@@ -273,41 +313,38 @@ func (ex *executor) pathReflexive(s, o rdf.Term) []pair {
 }
 
 // graphNodes enumerates every term used as subject or object.
-func (ex *executor) graphNodes() []rdf.Term {
-	seen := map[rdf.Term]bool{}
-	var out []rdf.Term
-	ex.st.Match(rdf.Term{}, rdf.Term{}, rdf.Term{}, ex.graph, func(q rdf.Quad) bool {
-		if !seen[q.S] {
-			seen[q.S] = true
-			out = append(out, q.S)
+func (pe *pathEval) graphNodes() []store.TermID {
+	seen := map[store.TermID]bool{}
+	var out []store.TermID
+	for _, q := range pe.scan(0, 0, 0) {
+		for _, n := range q {
+			if !seen[n] {
+				seen[n] = true
+				out = append(out, n)
+			}
 		}
-		if !seen[q.O] {
-			seen[q.O] = true
-			out = append(out, q.O)
-		}
-		return true
-	})
+	}
 	return out
 }
 
-// evalClosure handles p+ and p* via BFS from the bound side.
-func (ex *executor) evalClosure(path *PathExpr, s, o rdf.Term) []pair {
+// closure handles p+ and p* via BFS from the bound side.
+func (pe *pathEval) closure(path *PathExpr, s, o store.TermID) []pair {
 	inner := path.Left
 	includeZero := path.Kind == PathZeroOrMore
 
-	reach := func(start rdf.Term, forward bool) []rdf.Term {
-		visited := map[rdf.Term]bool{}
-		frontier := []rdf.Term{start}
-		var order []rdf.Term
+	reach := func(start store.TermID, forward bool) []store.TermID {
+		visited := map[store.TermID]bool{}
+		frontier := []store.TermID{start}
+		var order []store.TermID
 		for len(frontier) > 0 {
 			next := frontier
 			frontier = nil
 			for _, node := range next {
 				var steps []pair
 				if forward {
-					steps = ex.evalPath(inner, node, rdf.Term{})
+					steps = pe.eval(inner, node, 0)
 				} else {
-					steps = ex.evalPath(inner, rdf.Term{}, node)
+					steps = pe.eval(inner, 0, node)
 				}
 				for _, st := range steps {
 					target := st[1]
@@ -325,41 +362,34 @@ func (ex *executor) evalClosure(path *PathExpr, s, o rdf.Term) []pair {
 		return order
 	}
 
-	var out []pair
-	seen := map[pair]bool{}
-	add := func(pr pair) {
-		if !seen[pr] {
-			seen[pr] = true
-			out = append(out, pr)
-		}
-	}
+	var l pairList
 	switch {
-	case !s.IsZero():
-		if includeZero && (o.IsZero() || o.Equal(s)) {
-			add(pair{s, s})
+	case s != 0:
+		if includeZero && (o == 0 || o == s) {
+			l.add(pair{s, s})
 		}
 		for _, target := range reach(s, true) {
-			if o.IsZero() || o.Equal(target) {
-				add(pair{s, target})
+			if o == 0 || o == target {
+				l.add(pair{s, target})
 			}
 		}
-	case !o.IsZero():
+	case o != 0:
 		if includeZero {
-			add(pair{o, o})
+			l.add(pair{o, o})
 		}
 		for _, source := range reach(o, false) {
-			add(pair{source, o})
+			l.add(pair{source, o})
 		}
 	default:
 		// Both wild: run from every node (small-store semantics).
-		for _, n := range ex.graphNodes() {
+		for _, n := range pe.graphNodes() {
 			if includeZero {
-				add(pair{n, n})
+				l.add(pair{n, n})
 			}
 			for _, target := range reach(n, true) {
-				add(pair{n, target})
+				l.add(pair{n, target})
 			}
 		}
 	}
-	return out
+	return l.out
 }

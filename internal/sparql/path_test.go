@@ -1,7 +1,9 @@
 package sparql
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"lodify/internal/rdf"
 	"lodify/internal/store"
@@ -214,5 +216,216 @@ SELECT ?s WHERE { ?s ex:p "5"^^xsd:integer }`)
 	}
 	if len(res.Solutions) != 1 {
 		t.Fatalf("solutions = %v", res.Solutions)
+	}
+}
+
+// TestPathAbsentStartZeroLength: a start term the dictionary has never
+// seen gets a query-local id; it can only produce its zero-length
+// match and must never be scanned for.
+func TestPathAbsentStartZeroLength(t *testing.T) {
+	e := NewEngine(socialStore(t))
+	for _, path := range []string{"foaf:knows*", "foaf:knows?"} {
+		res, err := e.Query(pathPrefixes + `SELECT ?x WHERE { <urn:absent> ` + path + ` ?x }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Solutions) != 1 || res.Solutions[0]["x"] != rdf.NewIRI("urn:absent") {
+			t.Fatalf("%s from an absent term = %v, want the zero-length match alone", path, res.Solutions)
+		}
+	}
+	for _, path := range []string{"foaf:knows+", "foaf:knows/foaf:knows", "^foaf:knows|foaf:name"} {
+		res, err := e.Query(pathPrefixes + `SELECT ?x WHERE { <urn:absent> ` + path + ` ?x }`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Solutions) != 0 {
+			t.Fatalf("%s from an absent term = %v, want nothing", path, res.Solutions)
+		}
+	}
+	// An IRI predicate the store has never seen matches nothing either.
+	res, err := e.Query(pathPrefixes + `SELECT ?x WHERE { ex:a (ex:nope/foaf:knows)|foaf:knows ?x }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Solutions) != 1 || res.Solutions[0]["x"] != exIRI("b") {
+		t.Fatalf("unknown predicate arm = %v", res.Solutions)
+	}
+}
+
+// TestPathInsideGraph: a path under GRAPH <g> hops only within g,
+// GRAPH ?g evaluates it once per named graph, and a GRAPH naming a
+// graph the store lacks still yields zero-length matches.
+func TestPathInsideGraph(t *testing.T) {
+	st := store.NewSharded(4)
+	knows := rdf.NewIRI(nsFOAF + "knows")
+	g1, g2 := exIRI("graph/1"), exIRI("graph/2")
+	for _, q := range []rdf.Quad{
+		{S: exIRI("a"), P: knows, O: exIRI("b"), G: g1},
+		{S: exIRI("b"), P: knows, O: exIRI("c"), G: g1},
+		{S: exIRI("c"), P: knows, O: exIRI("d"), G: g2},
+		{S: exIRI("d"), P: knows, O: exIRI("e")},
+	} {
+		st.MustAdd(q)
+	}
+	e := NewEngine(st)
+	values := func(src, v string) []string {
+		t.Helper()
+		res, err := e.Query(pathPrefixes + src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, sol := range res.Solutions {
+			out = append(out, sol[v].Value())
+		}
+		return out
+	}
+	eq := func(got []string, want ...string) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if got[i] != nsEX+want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if got := values(`SELECT ?x WHERE { ex:a foaf:knows+ ?x } ORDER BY ?x`, "x"); !eq(got, "b", "c", "d", "e") {
+		t.Fatalf("unrestricted closure = %v", got)
+	}
+	if got := values(`SELECT ?x WHERE { GRAPH <http://ex.org/graph/1> { ex:a foaf:knows+ ?x } } ORDER BY ?x`, "x"); !eq(got, "b", "c") {
+		t.Fatalf("closure inside graph/1 = %v", got)
+	}
+	if got := values(`SELECT ?g WHERE { GRAPH ?g { ?s foaf:knows/foaf:knows ex:c } }`, "g"); !eq(got, "graph/1") {
+		t.Fatalf("sequence under GRAPH ?g = %v", got)
+	}
+	if got := values(`SELECT ?x WHERE { GRAPH ?g { ex:c foaf:knows+ ?x } }`, "x"); !eq(got, "d") {
+		t.Fatalf("closure under GRAPH ?g = %v", got)
+	}
+	if got := values(`SELECT ?x WHERE { GRAPH <http://ex.org/graph/none> { ex:a foaf:knows* ?x } }`, "x"); !eq(got, "a") {
+		t.Fatalf("closure inside an absent graph = %v, want the zero-length match", got)
+	}
+}
+
+// TestDescribeThroughBlankNodes: the bounded description follows
+// blank-node objects transitively (cycles included) across shards and
+// graphs, stops at IRIs, and skips targets the store has never seen.
+func TestDescribeThroughBlankNodes(t *testing.T) {
+	st := store.NewSharded(8)
+	b1, b2 := rdf.NewBlank("b1"), rdf.NewBlank("b2")
+	want := []rdf.Triple{
+		{S: exIRI("x"), P: exIRI("p"), O: rdf.NewLiteral("1")},
+		{S: exIRI("x"), P: exIRI("q"), O: b1},
+		{S: b1, P: exIRI("r"), O: b2},
+		{S: b1, P: exIRI("r"), O: exIRI("y")},
+		{S: b2, P: exIRI("s"), O: b1},
+	}
+	for i, tr := range want {
+		st.MustAdd(rdf.Quad{S: tr.S, P: tr.P, O: tr.O, G: exIRI("graph/" + string(rune('a'+i%3)))})
+	}
+	st.MustAdd(rdf.Quad{S: exIRI("y"), P: exIRI("p"), O: rdf.NewLiteral("3")})
+	e := NewEngine(st)
+	for _, src := range []string{
+		`DESCRIBE <http://ex.org/x> <urn:absent>`,
+		`DESCRIBE ?s WHERE { ?s <http://ex.org/p> "1" }`,
+	} {
+		res, err := e.Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := rdf.NewGraph()
+		for _, tr := range want {
+			g.Add(tr)
+		}
+		if len(res.Triples) != len(want) {
+			t.Fatalf("%s: %d triples, want %d: %v", src, len(res.Triples), len(want), res.Triples)
+		}
+		for _, tr := range res.Triples {
+			if !g.Has(tr) {
+				t.Fatalf("%s: unexpected triple %v", src, tr)
+			}
+		}
+	}
+}
+
+// TestPathClosureSeesOneCommittedState runs p+ queries against a
+// writer that atomically flips the store between two states, each
+// routing a to c through a different middle node. Every evaluation
+// holds one lease, so it must reach c whichever state it sees — a hop
+// per lock round could read a's edge from one state and the middle
+// node's from the other. Run under -race; a lease that outlived its
+// query would block the final write, and a write slipping under a held
+// lease trips its epoch check.
+func TestPathClosureSeesOneCommittedState(t *testing.T) {
+	st := store.NewSharded(8)
+	knows := rdf.NewIRI(nsFOAF + "knows")
+	edge := func(s, o string) rdf.Quad { return rdf.Quad{S: exIRI(s), P: knows, O: exIRI(o)} }
+	states := [2][]rdf.Quad{
+		{edge("a", "b1"), edge("b1", "c")},
+		{edge("a", "b2"), edge("b2", "c")},
+	}
+	for _, q := range states[0] {
+		st.MustAdd(q)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopWriter := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopWriter()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for cur := 0; ; cur = 1 - cur {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			tx := st.Begin()
+			for _, q := range states[cur] {
+				if err := tx.Remove(q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			for _, q := range states[1-cur] {
+				if err := tx.Add(q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if _, _, err := tx.Commit(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+
+	e := NewEngine(st)
+	q := mustParse(t, pathPrefixes+`SELECT ?x WHERE { ex:a foaf:knows+ ?x }`)
+	for i := 0; i < 2000; i++ {
+		res, err := e.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Solutions) != 2 {
+			t.Fatalf("iteration %d: a reaches %v, want one middle node and c", i, res.Solutions)
+		}
+	}
+	stopWriter()
+
+	done := make(chan struct{})
+	go func() {
+		st.MustAdd(edge("c", "d"))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("write blocked after the queries finished: a path lease leaked")
 	}
 }

@@ -8,80 +8,63 @@ import (
 	"lodify/internal/store"
 )
 
-// Execution of cost-based BGP plans (planner.go). The step order is
-// fixed, so no per-row count probes are paid. Consecutive scan steps
-// fuse into one backtracking nested-loop run with the same in-place
-// binding scratch the greedy path uses (solutions clone only at
+// Execution of BGP plans (planner.go): the one join path. The step
+// order is fixed, so no per-row count probes are paid. Scan steps bind
+// in place on a backtracking scratch row (solutions clone only at
 // emission); hash steps evaluate their pattern standalone once and
-// merge through joinRowsHash. Under a profiler the steps instead run
-// one at a time, materialized, so EXPLAIN ANALYZE can report actual
-// per-step cardinalities against the estimates.
+// merge through joinRowsHash. Without a profiler consecutive scan
+// steps fuse into one nested-loop run with no materialization between
+// them; under a profiler every step runs alone, materialized, so
+// EXPLAIN ANALYZE can report actual per-step cardinalities against the
+// estimates.
 
-// execPlan runs a cost-based plan over the input rows.
+// execPlan runs a plan over the input rows.
 func (ex *executor) execPlan(plan *bgpPlan, plain []TriplePattern, cp []compiledPattern, gid store.TermID, input []row) []row {
-	if plan.empty || len(input) == 0 {
+	if plan.empty {
 		return nil
 	}
 	if ex.prof != nil {
-		return ex.execPlanProfiled(plan, plain, cp, gid, input)
+		ex.prof.setTopEst(plan.est)
 	}
 	cur := input
-	for i := 0; i < len(plan.steps); {
-		if len(cur) == 0 {
-			return nil
-		}
-		if plan.steps[i].hash {
-			cur = joinRowsHash(cur, ex.scanPattern(cp[plan.steps[i].pat], gid))
-			atomic.AddInt64(&ex.rowsJoined, int64(len(cur)))
-			i++
-			continue
-		}
-		// Fuse the run of consecutive scan steps into one backtracking
-		// pass — no intermediate materialization between them.
-		j := i
-		for j < len(plan.steps) && !plan.steps[j].hash {
-			j++
-		}
-		order := make([]int, 0, j-i)
-		for k := i; k < j; k++ {
-			order = append(order, plan.steps[k].pat)
-		}
-		cur = ex.joinFixed(order, cp, gid, cur)
-		i = j
-	}
-	return cur
-}
-
-// execPlanProfiled runs the plan step-at-a-time, recording one child
-// plan node per join step with estimated and actual cardinalities.
-func (ex *executor) execPlanProfiled(plan *bgpPlan, plain []TriplePattern, cp []compiledPattern, gid store.TermID, input []row) []row {
-	ex.prof.setTopEst(plan.est)
-	cur := input
-	for i := range plan.steps {
+	for i, j := 0, 0; i < len(plan.steps); i = j {
 		step := plan.steps[i]
-		op := "scan"
-		if step.hash {
-			op = "hash-join"
-		}
-		detail := ""
-		if step.pat < len(plain) {
-			detail = patternText(plain[step.pat])
-		}
-		child := ex.prof.stepChild(stepKey{plan: plan, idx: i}, op, detail, estRows(step.est))
-		start := time.Now()
-		rowsIn := len(cur)
-		// Mirror the unprofiled path's empty-input early-out: a hash
-		// step's standalone build scan can produce no join rows, so only
-		// the zero-actuals profile node is recorded.
-		if rowsIn > 0 {
-			if step.hash {
-				cur = joinRowsHash(cur, ex.scanPattern(cp[step.pat], gid))
-				atomic.AddInt64(&ex.rowsJoined, int64(len(cur)))
-			} else {
-				cur = ex.joinFixed([]int{step.pat}, cp, gid, cur)
+		j = i + 1
+		if ex.prof == nil && !step.hash {
+			for j < len(plan.steps) && !plan.steps[j].hash {
+				j++
 			}
 		}
-		ex.prof.stepExit(child, time.Since(start), rowsIn, len(cur), len(ex.fr.names))
+		var (
+			child *PlanNode
+			start time.Time
+		)
+		if ex.prof != nil {
+			op := "scan"
+			if step.hash {
+				op = "hash-join"
+			}
+			child = ex.prof.stepChild(stepKey{plan: plan, idx: i}, op, patternText(plain[step.pat]), estRows(step.est))
+			start = time.Now()
+		}
+		rowsIn := len(cur)
+		// The one empty-input early-out: nothing to extend, so neither a
+		// scan run nor a hash step's standalone build scan is paid (a
+		// profiler still records the zero-actuals node).
+		if rowsIn > 0 {
+			if step.hash {
+				// The build side is the pattern standalone: the one-step
+				// join of a single all-unbound row, under its own lease.
+				build := ex.joinFixed(plan.steps[i:j], cp, gid, []row{make(row, len(ex.fr.names))})
+				cur = joinRowsHash(cur, build)
+				atomic.AddInt64(&ex.rowsJoined, int64(len(cur)))
+			} else {
+				cur = ex.joinFixed(plan.steps[i:j], cp, gid, cur)
+			}
+		}
+		if ex.prof != nil {
+			ex.prof.stepExit(child, time.Since(start), rowsIn, len(cur), len(ex.fr.names))
+		}
 	}
 	return cur
 }
@@ -93,38 +76,39 @@ type stepKey struct {
 	idx  int
 }
 
-// joinFixed extends the input rows through the given pattern order,
-// fanning out like the greedy path when the input is large.
-func (ex *executor) joinFixed(order []int, cp []compiledPattern, gid store.TermID, input []row) []row {
+// joinFixed extends the input rows through a run of scan steps, fanning
+// out across workers when the input is large.
+func (ex *executor) joinFixed(steps []planStep, cp []compiledPattern, gid store.TermID, input []row) []row {
 	if len(input) >= bgpParallelThreshold && bgpMaxWorkers > 1 {
-		return ex.joinFixedParallel(order, cp, gid, input)
+		return ex.joinFixedParallel(steps, cp, gid, input)
 	}
 	lease := ex.st.ReadLease()
 	ex.prof.addLease(lease.Wait())
-	out := ex.joinFixedSeq(lease, order, cp, gid, input)
+	out := ex.joinFixedSeq(lease, steps, cp, gid, input)
 	lease.Release()
 	atomic.AddInt64(&ex.rowsJoined, int64(len(out)))
 	return out
 }
 
-// joinFixedSeq is the single-lease nested-loop run over the fixed
-// pattern order, with the same scratch-row backtracking as joinStep.
-func (ex *executor) joinFixedSeq(lease *store.Lease, order []int, cp []compiledPattern, gid store.TermID, input []row) []row {
-	if len(input) == 0 {
-		return nil
-	}
-	scratch := make(row, len(input[0]))
+// joinFixedSeq is the single-lease nested-loop run over the steps. The
+// scratch binding row is reused across input rows: backtracking fully
+// restores it after each one.
+func (ex *executor) joinFixedSeq(lease *store.Lease, steps []planStep, cp []compiledPattern, gid store.TermID, input []row) []row {
+	scratch := make(row, len(ex.fr.names))
 	var out []row
 	for _, r := range input {
 		copy(scratch, r)
-		out = ex.fixedStep(lease, order, cp, 0, gid, scratch, out)
+		out = ex.fixedStep(lease, steps, cp, gid, scratch, out)
 	}
 	return out
 }
 
-// joinFixedParallel mirrors joinRowsParallel: contiguous input chunks,
-// one lease per worker, results concatenated in chunk order.
-func (ex *executor) joinFixedParallel(order []int, cp []compiledPattern, gid store.TermID, input []row) []row {
+// joinFixedParallel fans the join out over contiguous chunks of the
+// input rows. Each worker holds its own lease and produces only store
+// ids (pattern matching never interns), so workers share no mutable
+// state; chunk results concatenate in order, keeping the output
+// identical to the sequential path.
+func (ex *executor) joinFixedParallel(steps []planStep, cp []compiledPattern, gid store.TermID, input []row) []row {
 	mBGPParallel.Inc()
 	workers := bgpMaxWorkers
 	if workers > len(input) {
@@ -145,7 +129,7 @@ func (ex *executor) joinFixedParallel(order []int, cp []compiledPattern, gid sto
 			lease := ex.st.ReadLease()
 			defer lease.Release()
 			ex.prof.addLease(lease.Wait())
-			out := ex.joinFixedSeq(lease, order, cp, gid, input[lo:hi])
+			out := ex.joinFixedSeq(lease, steps, cp, gid, input[lo:hi])
 			atomic.AddInt64(&ex.rowsJoined, int64(len(out)))
 			results[w] = out
 		}(w, lo, hi)
@@ -162,16 +146,19 @@ func (ex *executor) joinFixedParallel(order []int, cp []compiledPattern, gid sto
 	return out
 }
 
-// fixedStep is joinStep without the greedy selection: the pattern at
-// order[k] extends cur, recursing down the fixed order. Bindings are
-// in-place with backtracking; complete rows clone at emission.
-func (ex *executor) fixedStep(lease *store.Lease, order []int, cp []compiledPattern, k int, gid store.TermID, cur row, out []row) []row {
-	if k == len(order) {
+// fixedStep extends cur by the first step's pattern and recurses down
+// the rest. Bindings are in place with backtracking; complete rows
+// clone at emission.
+func (ex *executor) fixedStep(lease *store.Lease, steps []planStep, cp []compiledPattern, gid store.TermID, cur row, out []row) []row {
+	if len(steps) == 0 {
 		return append(out, cur.clone())
 	}
-	pat := cp[order[k]]
+	pat := cp[steps[0].pat]
 	s, p, o := resolveIDs(pat, cur)
 	lease.MatchIDs(s, p, o, gid, func(ms, mp, mo, _ store.TermID) bool {
+		// Bind the unbound variable positions, tracking slots to undo.
+		// Already-bound slots were substituted into the scan pattern, so
+		// they can only conflict on repeated-variable patterns.
 		var touched [3]int
 		n := 0
 		bind := func(ct cpTerm, val store.TermID) bool {
@@ -187,7 +174,7 @@ func (ex *executor) fixedStep(lease *store.Lease, order []int, cp []compiledPatt
 			return true
 		}
 		if bind(pat.s, ms) && bind(pat.p, mp) && bind(pat.o, mo) {
-			out = ex.fixedStep(lease, order, cp, k+1, gid, cur, out)
+			out = ex.fixedStep(lease, steps[1:], cp, gid, cur, out)
 		}
 		for i := 0; i < n; i++ {
 			cur[touched[i]] = 0
@@ -195,38 +182,4 @@ func (ex *executor) fixedStep(lease *store.Lease, order []int, cp []compiledPatt
 		return true
 	})
 	return out
-}
-
-// scanPattern evaluates one pattern standalone — constants only, every
-// variable a wildcard — into full-width rows for a hash-join build
-// side, under its own short lease.
-func (ex *executor) scanPattern(p compiledPattern, gid store.TermID) []row {
-	lease := ex.st.ReadLease()
-	ex.prof.addLease(lease.Wait())
-	defer lease.Release()
-	width := len(ex.fr.names)
-	var out []row
-	s, pr, o := resolveConsts(p)
-	lease.MatchIDs(s, pr, o, gid, func(ms, mp, mo, _ store.TermID) bool {
-		r := make(row, width)
-		if bindScan(r, p.s, ms) && bindScan(r, p.p, mp) && bindScan(r, p.o, mo) {
-			out = append(out, r)
-		}
-		return true
-	})
-	atomic.AddInt64(&ex.rowsJoined, int64(len(out)))
-	return out
-}
-
-// bindScan binds one scan match position into a fresh row; a repeated
-// variable must match its earlier binding.
-func bindScan(r row, ct cpTerm, val store.TermID) bool {
-	if ct.slot < 0 {
-		return true
-	}
-	if r[ct.slot] != 0 {
-		return r[ct.slot] == val
-	}
-	r[ct.slot] = val
-	return true
 }

@@ -1,21 +1,16 @@
 package sparql
 
 import (
-	"fmt"
 	"math"
-	"sync/atomic"
 
 	"lodify/internal/store"
 )
 
-// Cost-based BGP join planning (DESIGN.md §15). The greedy executor
-// re-orders patterns per input row with CountIDs probes — adaptive,
-// but it pays O(patterns²) count probes per row and can never build a
-// hash join. The cost planner instead reads the store's live
-// per-(predicate, graph) statistics (exact counts + distinct-subject/
-// object sketches, store/pstats.go) once per BGP, runs a bottom-up
-// dynamic program over pattern subsets, and fixes both the join order
-// and the per-edge algorithm:
+// Cost-based BGP join planning (DESIGN.md §15). The planner reads the
+// store's live per-(predicate, graph) statistics (exact counts +
+// distinct-subject/object sketches, store/pstats.go) once per BGP,
+// runs a bottom-up dynamic program over pattern subsets, and fixes
+// both the join order and the per-edge algorithm:
 //
 //   - scan: nested-loop index extension — for each intermediate row,
 //     substitute its bindings into the pattern and scan the matches.
@@ -33,44 +28,14 @@ import (
 // EXPLAIN ANALYZE as miss factors.
 //
 // The DP is exact (left-deep over all 2^n subsets) up to plannerMaxDP
-// patterns; larger BGPs, unknown planner modes and >64-slot frames
-// fall back to the greedy path, which stays fully supported.
+// patterns; larger BGPs get an all-scan plan in greedy order
+// (greedySteps). Either way the result is a fixed step order for the
+// one executor in planexec.go. Slots beyond the 64-bit planning domain
+// never count as bound, which only skews estimates.
 
-// Planner mode (package-level so benches/tests can pin it; atomic so
-// concurrent queries may race with a flag flip safely).
-const (
-	plannerCost int32 = iota
-	plannerGreedy
-)
-
-var plannerModeVar atomic.Int32
-
-// plannerMaxDP bounds the exact DP: 2^10 subset states. Above it the
-// greedy order is used (package var so tests can lower it).
+// plannerMaxDP bounds the exact DP: 2^10 subset states (package var so
+// tests can lower it).
 var plannerMaxDP = 10
-
-// SetPlannerMode selects the BGP join-ordering strategy: "cost"
-// (statistics-driven DP, the default) or "greedy" (legacy per-row
-// selectivity ordering).
-func SetPlannerMode(mode string) error {
-	switch mode {
-	case "cost":
-		plannerModeVar.Store(plannerCost)
-	case "greedy":
-		plannerModeVar.Store(plannerGreedy)
-	default:
-		return fmt.Errorf("sparql: unknown planner mode %q (want cost or greedy)", mode)
-	}
-	return nil
-}
-
-// PlannerMode reports the current mode name.
-func PlannerMode() string {
-	if plannerModeVar.Load() == plannerGreedy {
-		return "greedy"
-	}
-	return "cost"
-}
 
 // Cost-model constants, in arbitrary "row visit" units. Only their
 // ratios matter: a scan pays one index seek per input row, a hash join
@@ -156,20 +121,15 @@ func resolveConsts(p compiledPattern) (s, pr, o store.TermID) {
 	return get(p.s), get(p.p), get(p.o)
 }
 
-// patSlotMask returns the pattern's variable slots as a bitmask, and
-// ok=false when a slot exceeds the 64-bit planning domain.
-func patSlotMask(p compiledPattern) (uint64, bool) {
+// patSlotMask returns the pattern's variable slots as a bitmask.
+func patSlotMask(p compiledPattern) uint64 {
 	var m uint64
 	for _, ct := range [3]cpTerm{p.s, p.p, p.o} {
-		if ct.slot < 0 {
-			continue
+		if ct.slot >= 0 && ct.slot < 64 {
+			m |= 1 << uint(ct.slot)
 		}
-		if ct.slot >= 64 {
-			return 0, false
-		}
-		m |= 1 << uint(ct.slot)
 	}
-	return m, true
+	return m
 }
 
 // probeCard estimates how many matches one intermediate row's scan of
@@ -186,40 +146,32 @@ func probeCard(p compiledPattern, ps patStat, bound uint64) float64 {
 	return math.Max(pc, 1e-9)
 }
 
-// planBGP returns the cost-based plan for the compiled patterns, or
-// nil to request the greedy fallback (greedy mode pinned, too many
-// patterns, or an unplannable frame). Plans cache per (node, gid) on
-// the executor; inputRows is the first call's input cardinality and
-// scales the scan-vs-hash decision.
+// planBGP returns the plan for the compiled patterns (at least one).
+// Plans cache per (node, gid, input mask) on the executor; inputRows
+// is the first call's input cardinality and scales the scan-vs-hash
+// decision.
 func (ex *executor) planBGP(node *BGP, cp []compiledPattern, gid store.TermID, inputRows int, inputMask uint64) *bgpPlan {
-	if plannerModeVar.Load() != plannerCost || len(cp) == 0 || len(cp) > plannerMaxDP {
-		return nil
-	}
-	if ex.plans != nil {
-		if plan, ok := ex.plans[planKey{node, gid, inputMask}]; ok {
-			return plan
-		}
+	key := planKey{node, gid, inputMask}
+	if plan, ok := ex.plans[key]; ok {
+		return plan
 	}
 	plan := ex.buildPlan(cp, gid, inputRows, inputMask)
-	if plan != nil {
-		if ex.plans == nil {
-			ex.plans = make(map[planKey]*bgpPlan)
-		}
-		ex.plans[planKey{node, gid, inputMask}] = plan
+	if ex.plans == nil {
+		ex.plans = make(map[planKey]*bgpPlan)
 	}
+	ex.plans[key] = plan
 	return plan
 }
 
-// buildPlan runs the subset DP. Exponential in len(cp), bounded by
-// plannerMaxDP (≤ 1024 states x ≤ 10 transitions). inputMask carries
-// the slots the input rows already bind (a VALUES prefix, an earlier
-// group): those count as bound from the first step, which is what
-// steers the first join away from standalone hash builds when the
-// input is already selective.
+// buildPlan orders the patterns — by the subset DP up to plannerMaxDP
+// patterns, greedily above — and fills the cumulative estimates.
+// inputMask carries the slots the input rows already bind (a VALUES
+// prefix, an earlier group): those count as bound from the first step,
+// which is what steers the first join away from standalone hash builds
+// when the input is already selective.
 func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows int, inputMask uint64) *bgpPlan {
-	n := len(cp)
-	stats := make([]patStat, n)
-	masks := make([]uint64, n)
+	stats := make([]patStat, len(cp))
+	masks := make([]uint64, len(cp))
 	for i := range cp {
 		stats[i] = patternStats(ex.st, cp[i], gid)
 		if stats[i].base == 0 {
@@ -228,13 +180,52 @@ func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows 
 			// nothing at planning time.
 			return &bgpPlan{empty: true}
 		}
-		m, ok := patSlotMask(cp[i])
-		if !ok {
-			return nil
-		}
-		masks[i] = m
+		masks[i] = patSlotMask(cp[i])
 	}
+	card := math.Max(float64(inputRows), 1)
+	var steps []planStep
+	if len(cp) > plannerMaxDP {
+		steps = greedySteps(cp, stats, masks, inputMask)
+	} else {
+		steps = dpSteps(cp, stats, masks, card, inputMask)
+	}
+	bound := inputMask
+	for i := range steps {
+		card *= probeCard(cp[steps[i].pat], stats[steps[i].pat], bound)
+		steps[i].est = card
+		bound |= masks[steps[i].pat]
+	}
+	return &bgpPlan{steps: steps, est: estRows(card)}
+}
 
+// greedySteps is the ordering for BGPs too large for the DP: an
+// all-scan plan that repeatedly takes the unplaced pattern with the
+// smallest probe cardinality under the slots bound so far.
+func greedySteps(cp []compiledPattern, stats []patStat, masks []uint64, bound uint64) []planStep {
+	steps := make([]planStep, 0, len(cp))
+	placed := make([]bool, len(cp))
+	for range cp {
+		best, bestCard := -1, 0.0
+		for j := range cp {
+			if placed[j] {
+				continue
+			}
+			if pc := probeCard(cp[j], stats[j], bound); best < 0 || pc < bestCard {
+				best, bestCard = j, pc
+			}
+		}
+		placed[best] = true
+		bound |= masks[best]
+		steps = append(steps, planStep{pat: best})
+	}
+	return steps
+}
+
+// dpSteps runs the subset DP: exponential in len(cp), bounded by
+// plannerMaxDP (≤ 1024 states x ≤ 10 transitions). inputCard is the
+// input cardinality the first step extends.
+func dpSteps(cp []compiledPattern, stats []patStat, masks []uint64, inputCard float64, inputMask uint64) []planStep {
+	n := len(cp)
 	type dpEntry struct {
 		cost, card float64
 		last       int8
@@ -242,7 +233,7 @@ func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows 
 		ok         bool
 	}
 	dp := make([]dpEntry, 1<<uint(n))
-	dp[0] = dpEntry{card: math.Max(float64(inputRows), 1), ok: true}
+	dp[0] = dpEntry{card: inputCard, ok: true}
 	for mask := 0; mask < len(dp); mask++ {
 		if !dp[mask].ok {
 			continue
@@ -273,24 +264,15 @@ func (ex *executor) buildPlan(cp []compiledPattern, gid store.TermID, inputRows 
 		}
 	}
 
-	// Reconstruct the step order back-to-front, then fill cumulative
-	// estimates forward.
-	full := len(dp) - 1
+	// Reconstruct the step order back-to-front.
 	steps := make([]planStep, n)
-	for mask := full; mask != 0; {
+	for mask := len(dp) - 1; mask != 0; {
 		e := dp[mask]
 		n--
 		steps[n] = planStep{pat: int(e.last), hash: e.hash}
 		mask &^= 1 << uint(e.last)
 	}
-	card := dp[0].card
-	bound := inputMask
-	for i := range steps {
-		card *= probeCard(cp[steps[i].pat], stats[steps[i].pat], bound)
-		steps[i].est = card
-		bound |= masks[steps[i].pat]
-	}
-	return &bgpPlan{steps: steps, est: estRows(dp[full].card)}
+	return steps
 }
 
 // inputBoundMask samples the input rows and returns the slots bound in

@@ -11,29 +11,23 @@ import (
 	"lodify/internal/store"
 )
 
-// Planner v2 tests: the cost-based DP must agree with the greedy
-// executor (and the naive reference evaluator) on every query shape,
-// its plans must react to the live statistics (hash joins on cartesian
-// edges, empty short-circuit on zero-count predicates, estimates from
-// the maintained counts), and EXPLAIN ANALYZE must report
-// mis-estimation factors per node.
+// Planner tests: every way a BGP can run — the DP plan, the all-scan
+// order used above plannerMaxDP, and the step-at-a-time profiled run —
+// must agree (and match the naive reference evaluator) on every query
+// shape, plans must react to the live statistics (hash joins on
+// cartesian edges, empty short-circuit on zero-count predicates,
+// estimates from the maintained counts), and EXPLAIN ANALYZE must
+// report mis-estimation factors per node.
 
-// setPlannerMode pins the planner mode for the duration of a test.
-func setPlannerMode(t *testing.T, mode string) {
-	t.Helper()
-	saved := PlannerMode()
-	if err := SetPlannerMode(mode); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = SetPlannerMode(saved) })
-}
-
-// TestCostPlannerMatchesGreedy runs the full equivalence corpus under
-// both planner modes on 1- and 8-shard stores, sequential and
-// parallel, requiring identical solution multisets (row-identical
-// under ORDER BY).
-func TestCostPlannerMatchesGreedy(t *testing.T) {
+// TestPlannerVariantsAgree runs the full equivalence corpus on 1- and
+// 8-shard stores, sequential and parallel, through (a) the DP plan,
+// (b) the all-scan order the planner emits when the DP declines and
+// (c) the profiled step-at-a-time run, requiring identical solution
+// multisets (row-identical under ORDER BY).
+func TestPlannerVariantsAgree(t *testing.T) {
 	queries := append(append([]string{}, equivalenceQueries...), shardEquivQueries...)
+	dpBound := plannerMaxDP
+	t.Cleanup(func() { plannerMaxDP = dpBound })
 	for _, shards := range []int{1, 8} {
 		st := shardEquivStore(store.NewSharded(shards))
 		e := NewEngine(st)
@@ -52,40 +46,53 @@ func TestCostPlannerMatchesGreedy(t *testing.T) {
 			} {
 				setParallel(t, mode.threshold, mode.workers)
 
-				setPlannerMode(t, "greedy")
-				gres, err := e.Exec(q)
+				dres, err := e.Exec(q)
 				if err != nil {
-					t.Fatalf("greedy %s exec %q: %v", mode.name, src, err)
+					t.Fatalf("dp %s exec %q: %v", mode.name, src, err)
 				}
-				setPlannerMode(t, "cost")
-				cres, err := e.Exec(q)
+				plannerMaxDP = 0
+				sres, err := e.Exec(q)
+				plannerMaxDP = dpBound
 				if err != nil {
-					t.Fatalf("cost %s exec %q: %v", mode.name, src, err)
+					t.Fatalf("all-scan %s exec %q: %v", mode.name, src, err)
+				}
+				exp, err := e.Explain(context.Background(), benchPrefixes+src, true)
+				if err != nil {
+					t.Fatalf("profiled %s exec %q: %v", mode.name, src, err)
 				}
 
-				g, c := canonSolutions(gres.Solutions), canonSolutions(cres.Solutions)
-				if len(g) != len(c) {
-					t.Fatalf("shards=%d %s query %q: greedy %d solutions, cost %d",
-						shards, mode.name, src, len(g), len(c))
-				}
-				for i := range g {
-					if g[i] != c[i] {
-						t.Fatalf("shards=%d %s query %q: solution %d differs:\n  greedy: %s\n  cost:   %s",
-							shards, mode.name, src, i, g[i], c[i])
+				d := canonSolutions(dres.Solutions)
+				for _, other := range []struct {
+					name string
+					sols []Solution
+				}{
+					{"all-scan", sres.Solutions},
+					{"profiled", exp.Result.Solutions},
+				} {
+					o := canonSolutions(other.sols)
+					if len(d) != len(o) {
+						t.Fatalf("shards=%d %s query %q: dp %d solutions, %s %d",
+							shards, mode.name, src, len(d), other.name, len(o))
 					}
-				}
-				if len(g) > 0 {
-					nonVacuous++
-				}
-				if q.OrderBy != nil {
-					for i := range gres.Solutions {
-						a := canonSolutions(gres.Solutions[i : i+1])
-						b := canonSolutions(cres.Solutions[i : i+1])
-						if a[0] != b[0] {
-							t.Fatalf("shards=%d query %q: ORDER BY row %d differs:\n  greedy: %s\n  cost:   %s",
-								shards, src, i, a[0], b[0])
+					for i := range d {
+						if d[i] != o[i] {
+							t.Fatalf("shards=%d %s query %q: solution %d differs:\n  dp: %s\n  %s: %s",
+								shards, mode.name, src, i, d[i], other.name, o[i])
 						}
 					}
+					if q.OrderBy != nil {
+						for i := range dres.Solutions {
+							a := canonSolutions(dres.Solutions[i : i+1])
+							b := canonSolutions(other.sols[i : i+1])
+							if a[0] != b[0] {
+								t.Fatalf("shards=%d query %q: ORDER BY row %d differs:\n  dp: %s\n  %s: %s",
+									shards, src, i, a[0], other.name, b[0])
+							}
+						}
+					}
+				}
+				if len(d) > 0 {
+					nonVacuous++
 				}
 			}
 		}
@@ -98,10 +105,8 @@ func TestCostPlannerMatchesGreedy(t *testing.T) {
 }
 
 // TestCostPlannerMatchesReference checks bare-BGP queries against the
-// naive term-space evaluator with the cost planner pinned on, at 8
-// shards.
+// naive term-space evaluator at 8 shards.
 func TestCostPlannerMatchesReference(t *testing.T) {
-	setPlannerMode(t, "cost")
 	st := shardEquivStore(store.NewSharded(8))
 	e := NewEngine(st)
 	queries := []string{
@@ -119,7 +124,7 @@ func TestCostPlannerMatchesReference(t *testing.T) {
 			t.Fatalf("exec %q: %v", src, err)
 		}
 		bgp := q.Where.Children[0].(*BGP)
-		want := refEvalBGP(st, bgp.Triples, Solution{})
+		want := refEvalBGP(st, rdf.Term{}, bgp.Triples, Solution{})
 		got, ref := canonSolutions(res.Solutions), canonSolutions(want)
 		if len(got) != len(ref) {
 			t.Fatalf("query %q: engine %d solutions, reference %d", src, len(got), len(ref))
@@ -188,7 +193,6 @@ func bgpChild(t *testing.T, root *PlanNode) *PlanNode {
 // disconnected pattern to the end and joins it with a hash build
 // rather than re-scanning it per intermediate row.
 func TestPlanChoosesHashJoinForCartesianEdge(t *testing.T) {
-	setPlannerMode(t, "cost")
 	st := plannerShapeStore(t, 4)
 	e := NewEngine(st)
 	exp, err := e.Explain(context.Background(),
@@ -230,7 +234,6 @@ func TestPlanChoosesHashJoinForCartesianEdge(t *testing.T) {
 // must equal the exact maintained predicate count, and constant
 // subjects must divide by the distinct-subject estimate.
 func TestPlanStatisticsDrivenEstimates(t *testing.T) {
-	setPlannerMode(t, "cost")
 	st := plannerShapeStore(t, 4)
 	e := NewEngine(st)
 	exp, err := e.Explain(context.Background(),
@@ -257,7 +260,6 @@ func TestPlanStatisticsDrivenEstimates(t *testing.T) {
 // dropped back to zero must plan to an empty BGP (estRows 0, no
 // steps) and execute to zero rows without error.
 func TestPlanEmptyShortCircuit(t *testing.T) {
-	setPlannerMode(t, "cost")
 	st := plannerShapeStore(t, 4)
 	gone := exIRI("p/gone")
 	q := rdf.Quad{S: exIRI("s"), P: gone, O: exIRI("o")}
@@ -291,7 +293,6 @@ func TestPlanEmptyShortCircuit(t *testing.T) {
 // mis-estimation factors — ≈1.0 where the statistics are exact — in
 // both the JSON document and the text rendering.
 func TestExplainAnalyzeMissFactor(t *testing.T) {
-	setPlannerMode(t, "cost")
 	st := plannerShapeStore(t, 4)
 	e := NewEngine(st)
 	exp, err := e.Explain(context.Background(),
@@ -332,20 +333,59 @@ func TestExplainAnalyzeMissFactor(t *testing.T) {
 }
 
 // TestPlannerFallsBackAboveMaxDP: BGPs above the DP bound must still
-// answer correctly through the greedy path.
+// answer correctly, through the all-scan greedy order — which static
+// EXPLAIN shows as step children like any other plan.
 func TestPlannerFallsBackAboveMaxDP(t *testing.T) {
-	setPlannerMode(t, "cost")
 	saved := plannerMaxDP
 	plannerMaxDP = 2
 	t.Cleanup(func() { plannerMaxDP = saved })
 	st := plannerShapeStore(t, 4)
 	e := NewEngine(st)
-	res, err := e.Exec(mustParse(t,
-		benchPrefixes+`SELECT * WHERE { ?u foaf:knows ?v . ?v foaf:name ?n . ?u foaf:name ?m }`))
+	src := benchPrefixes + `SELECT * WHERE { ?u foaf:knows ?v . ?v foaf:name ?n . ?u foaf:name ?m }`
+	res, err := e.Exec(mustParse(t, src))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Solutions) != 50 {
 		t.Fatalf("fallback path got %d solutions, want 50", len(res.Solutions))
+	}
+	exp, err := e.Explain(context.Background(), src, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bgp := bgpChild(t, exp.Plan)
+	if len(bgp.Children) != 3 || bgp.EstRows <= 0 {
+		t.Fatalf("want 3 step children and an estimate above the DP bound, got %d est=%d:\n%s",
+			len(bgp.Children), bgp.EstRows, exp.Plan.Text())
+	}
+	for _, c := range bgp.Children {
+		if c.Op != "scan" || c.EstRows <= 0 {
+			t.Fatalf("above the DP bound every step is an estimated scan, got %s est=%d:\n%s",
+				c.Op, c.EstRows, exp.Plan.Text())
+		}
+	}
+}
+
+// TestPlannerWideFrame: variables in slots beyond the 64-bit planning
+// domain only skew estimates — the BGP still plans (the real variables
+// sort after 70 fillers, so every slot it binds is >= 64) and answers
+// correctly.
+func TestPlannerWideFrame(t *testing.T) {
+	st := plannerShapeStore(t, 4)
+	e := NewEngine(st)
+	var filler strings.Builder
+	for i := 0; i < 70; i += 2 {
+		fmt.Fprintf(&filler, "?a%02d <http://ex.org/p/none> ?a%02d . ", i, i+1)
+	}
+	src := benchPrefixes + `SELECT * WHERE { ?u foaf:knows ?v . ?v foaf:name ?n . OPTIONAL { ` + filler.String() + `} }`
+	exp, err := e.Explain(context.Background(), src, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exp.Result.Solutions) != 50 {
+		t.Fatalf("wide-frame BGP got %d solutions, want 50", len(exp.Result.Solutions))
+	}
+	if bgp := bgpChild(t, exp.Plan); len(bgp.Children) != 2 {
+		t.Fatalf("want 2 planned steps in a %d-slot frame, got %d:\n%s", 73, len(bgp.Children), exp.Plan.Text())
 	}
 }

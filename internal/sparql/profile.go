@@ -126,7 +126,7 @@ func (p *profiler) addLease(wait time.Duration) {
 }
 
 // setTopEst records the planner estimate on the operator currently on
-// top of the stack (the BGP node, during execPlanProfiled), keeping
+// top of the stack (the BGP node, during execPlan), keeping
 // the first estimate on re-evaluation.
 func (p *profiler) setTopEst(est int64) {
 	top := p.stack[len(p.stack)-1]

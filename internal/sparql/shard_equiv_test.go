@@ -54,7 +54,7 @@ func shardEquivStore(st *store.Store) *store.Store {
 
 // shardEquivQueries stress shard-merged row streams: wildcard-graph
 // scans binding ?g, ORDER BY over rows from many shards, DISTINCT and
-// MINUS over merged intermediates, and aggregation.
+// MINUS over merged intermediates, aggregation, and property paths.
 var shardEquivQueries = []string{
 	`SELECT ?g ?c WHERE { GRAPH ?g { ?c a sioct:MicroblogPost } } ORDER BY ?g ?c`,
 	`SELECT ?c ?r WHERE { GRAPH ?g { ?c rev:rating ?r } } ORDER BY DESC(?r) ?c`,
@@ -71,6 +71,18 @@ var shardEquivQueries = []string{
 	  ?u foaf:knows ?v .
 	  GRAPH ?g { ?c foaf:maker ?v }
 	}`,
+	// Property paths: every operator, bound and wild endpoints, a
+	// closure over the knows cycle, and paths under both GRAPH forms.
+	`SELECT ?v ?u WHERE { ?v ^foaf:knows ?u }`,
+	`SELECT ?c ?v WHERE { ?c foaf:maker/foaf:knows ?v }`,
+	`SELECT ?c ?x WHERE { ?c foaf:maker|rev:rating ?x }`,
+	`SELECT ?x WHERE { <http://ex.org/user/0> foaf:knows? ?x }`,
+	`SELECT ?x WHERE { <http://ex.org/user/0> foaf:knows+ ?x }`,
+	`SELECT ?x WHERE { ?x foaf:knows+ <http://ex.org/user/0> }`,
+	`SELECT ?a ?b WHERE { ?a foaf:name "user 1" . ?a foaf:knows* ?b }`,
+	`SELECT ?a ?b WHERE { ?a foaf:knows+ ?b }`,
+	`SELECT ?c ?v WHERE { GRAPH <http://ex.org/graph/u2> { ?c foaf:maker/^foaf:maker ?v } }`,
+	`SELECT ?g ?c ?u WHERE { GRAPH ?g { ?c (foaf:maker|rev:rating)? ?u } }`,
 }
 
 func TestShardedQueryEquivalence(t *testing.T) {
@@ -132,40 +144,26 @@ func TestShardedQueryEquivalence(t *testing.T) {
 
 // TestShardedMatchesReference runs the naive term-space reference
 // evaluator against a multi-shard store: the sharded Match fan-out
-// must feed it the same quads the engine's leased ID scans see.
+// must feed it the same quads the engine's leased ID scans see. Beside
+// the bare-BGP shapes it covers every corpus query the reference can
+// express — here also the wildcard-graph GRAPH ?g scans — sequential
+// and parallel.
 func TestShardedMatchesReference(t *testing.T) {
 	st := shardEquivStore(store.NewSharded(8))
-	e := NewEngine(st)
-	queries := []string{
-		`SELECT * WHERE { ?u foaf:knows ?v . ?v foaf:name ?n . }`,
-		`SELECT * WHERE { ?c foaf:maker ?u . ?c rev:rating ?r . ?u foaf:name ?n . }`,
-		`SELECT * WHERE { ?s ?p ?o . ?s a foaf:Person . }`,
-	}
-	for _, src := range queries {
-		q, err := Parse(benchPrefixes + src)
-		if err != nil {
-			t.Fatalf("parse %q: %v", src, err)
-		}
-		res, err := e.Exec(q)
-		if err != nil {
-			t.Fatalf("exec %q: %v", src, err)
-		}
-		bgp, ok := q.Where.Children[0].(*BGP)
-		if !ok {
-			t.Fatalf("query %q did not parse to a bare BGP", src)
-		}
-		want := refEvalBGP(st, bgp.Triples, Solution{})
-		got, ref := canonSolutions(res.Solutions), canonSolutions(want)
-		if len(got) != len(ref) {
-			t.Fatalf("query %q: engine %d solutions, reference %d", src, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("query %q: solution %d differs:\n  engine: %s\n  ref:    %s", src, i, got[i], ref[i])
-			}
-		}
-		if len(got) == 0 {
-			t.Fatalf("query %q produced no solutions; test is vacuous", src)
+	queries := append(append(append([]string{}, refBGPQueries...), equivalenceQueries...), shardEquivQueries...)
+	for _, mode := range []struct {
+		name               string
+		threshold, workers int
+	}{
+		{"sequential", 1 << 30, 1},
+		{"parallel", 1, 4},
+	} {
+		setParallel(t, mode.threshold, mode.workers)
+		checked, nonVacuous := checkAgainstReference(t, mode.name, st, queries)
+		// 4 bare BGPs + 4 equivalence shapes + 4 GRAPH ?g shapes; the
+		// rest use MINUS, VALUES or aggregates.
+		if checked != 12 || nonVacuous != checked {
+			t.Fatalf("%s: %d queries checked, %d non-vacuous, want 12 of each", mode.name, checked, nonVacuous)
 		}
 	}
 }
