@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint lint-sarif lint-diff fuzz-smoke bench bench-smoke bench-json bench-ingest bench-ingest-smoke bench-shard bench-shard-smoke bench-album-smoke bench-slo-smoke bench-e2e-smoke ci
+.PHONY: all build test race lint lint-sarif lint-diff fuzz-smoke bench bench-smoke bench-json bench-e2e-smoke ci
 
 # Label for the bench-json artifact (BENCH_<label>.json).
 BENCH_LABEL ?= local
@@ -54,52 +54,11 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
-# Machine-readable experiment results: one JSON document per run,
-# suitable for CI artifacts and regression diffing.
+# The paper's tables (E1-E10 + infer) as one JSON document per run, a
+# CI artifact. Performance numbers come from `go run -C bench .`, not
+# from here (bench/README.md).
 bench-json:
 	$(GO) run ./cmd/benchreport -json -label $(BENCH_LABEL) > BENCH_$(BENCH_LABEL).json
-
-# The BENCH_4 bulk-ingest measurement: 500k statements through the
-# sequential and bulk load paths plus the streaming dump. Run each
-# benchmark in its own process so heap state from one leg cannot skew
-# the next (see EXPERIMENTS.md).
-bench-ingest:
-	LODIFY_INGEST_QUADS=500000 $(GO) test -run=NONE -bench='^BenchmarkLoadNQuadsSequential$$' -benchmem -benchtime=3x ./internal/store/
-	LODIFY_INGEST_QUADS=500000 $(GO) test -run=NONE -bench='^BenchmarkLoadNQuadsBulk$$' -benchmem -benchtime=3x ./internal/store/
-	LODIFY_INGEST_QUADS=500000 $(GO) test -run=NONE -bench='^BenchmarkDumpNQuads$$' -benchmem -benchtime=3x ./internal/store/
-
-# Race-enabled smoke of the same pipeline on a small corpus: exercises
-# the chunked reader, worker pool and batch apply under the race
-# detector without paying 500k-quad measurement time (CI gate).
-bench-ingest-smoke:
-	LODIFY_INGEST_QUADS=20000 $(GO) test -race -run=NONE -bench='LoadNQuads|DumpNQuads' -benchtime=1x ./internal/store/
-
-# The shard writer-scaling sweep: the same synthetic dump bulk-loaded
-# at 1, 2, 4 and 8 shards with one loader goroutine per shard, under
-# concurrent leased readers. GOMAXPROCS is pinned so the sweep measures
-# lock contention, not scheduler luck on smaller machines.
-bench-shard:
-	GOMAXPROCS=8 $(GO) run ./cmd/benchreport -exp shard -ingestQuads 500000 -json -label shard > BENCH_shard.json
-
-# The BENCH_8 artifact: the same sweep at a CI-friendly corpus size.
-bench-shard-smoke:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchreport -exp shard -ingestQuads 100000 -json -label 8 > BENCH_8.json
-
-# The album smoke: 1k materialized keyword albums read under
-# concurrent ingest against per-request evaluation, with maintenance
-# lag metered. GOMAXPROCS is pinned for stable numbers on shared CI
-# machines. (The committed BENCH_9.json is the PR 9 run of this plus
-# the cost-vs-greedy planner leg — the evidence greedy was deleted on —
-# and is no longer regenerated.)
-bench-album-smoke:
-	GOMAXPROCS=4 $(GO) run ./cmd/benchreport -exp album -albums 1000 -json -label album > BENCH_album.json
-
-# The SLO gate (CI): drive a live cmd/lodify binary with the closed-loop
-# workload, collect the server's own SLO verdicts and per-operator
-# profile totals into BENCH_slo.json + metrics_slo.txt, and fail if any
-# objective is unattainable. See DESIGN.md §13.
-bench-slo-smoke:
-	GO="$(GO)" sh scripts/slo_smoke.sh
 
 # The end-to-end benchmark's own smoke test (bench/ is a nested module,
 # so `go test ./...` never reaches it): every workload's first actions

@@ -13,9 +13,9 @@ import (
 )
 
 // ingestCorpusQuads returns the bench corpus size: the
-// LODIFY_INGEST_QUADS environment variable when set (the BENCH_4
-// runs use 500000), otherwise a default that keeps `make bench-smoke`
-// fast.
+// LODIFY_INGEST_QUADS environment variable when set (the PR 4 record
+// in EXPERIMENTS.md used 500000), otherwise a default that keeps
+// `make bench-smoke` fast.
 func ingestCorpusQuads() int {
 	if s := os.Getenv("LODIFY_INGEST_QUADS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 0 {

@@ -114,9 +114,16 @@ func TestExplainAnalyzeMatchesPlainRowCount(t *testing.T) {
 
 // TestStatsShapePinned pins the /api/stats document shape: the PR 5
 // consumers rely on cities/store/pipeline, and the SLO addition must
-// stay additive.
+// stay additive. One request per SLO-covered route goes first, so an
+// objective that still reports zero events is watching a series its
+// route no longer feeds.
 func TestStatsShapePinned(t *testing.T) {
 	s, _ := server(t)
+	for _, u := range []string{"/feeds/keyword/torino", "/api/search?q=Mole", sparqlURL(map[string]string{"query": album3Join})} {
+		if rec := get(t, s, u, nil); rec.Code != http.StatusOK {
+			t.Fatalf("%s -> %d: %s", u, rec.Code, rec.Body.String())
+		}
+	}
 	rec := get(t, s, "/api/stats", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code = %d", rec.Code)
@@ -139,6 +146,9 @@ func TestStatsShapePinned(t *testing.T) {
 		names[st.Name] = true
 		if len(st.Windows) == 0 {
 			t.Fatalf("objective %s has no burn windows", st.Name)
+		}
+		if st.Unattainable {
+			t.Fatalf("objective %s saw no events after a request to its route: %+v", st.Name, st)
 		}
 	}
 	for _, want := range []string{"album-read", "search", "sparql", "http-errors"} {

@@ -10,7 +10,9 @@ import (
 
 // TestMetricsEndpointReflectsServedRequests drives a request through
 // the middleware and asserts the /metrics exposition shows it: the
-// per-route counter moved and the latency histogram counted it.
+// per-route counter moved and the latency histogram counted it, the
+// SLO gauges are exposed, and a profiled query left its per-operator
+// totals.
 func TestMetricsEndpointReflectsServedRequests(t *testing.T) {
 	s, _ := server(t)
 	before := obs.Default.CounterValue("lodify_http_requests_total")
@@ -21,6 +23,9 @@ func TestMetricsEndpointReflectsServedRequests(t *testing.T) {
 	}
 	if rec.Header().Get(obs.TraceHeader) == "" {
 		t.Fatal("middleware did not echo a trace id")
+	}
+	if rec := get(t, s, sparqlURL(map[string]string{"query": album3Join, "explain": "analyze"}), nil); rec.Code != http.StatusOK {
+		t.Fatalf("explain analyze code = %d", rec.Code)
 	}
 
 	mrec := get(t, s, "/metrics", nil)
@@ -36,6 +41,8 @@ func TestMetricsEndpointReflectsServedRequests(t *testing.T) {
 		`lodify_http_request_seconds_count{route="/api/search"}`,
 		"# TYPE lodify_http_requests_total counter",
 		"# TYPE lodify_http_request_seconds histogram",
+		`lodify_slo_attainment{slo="search"}`,
+		`lodify_sparql_op_nanos_total{op="bgp"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q in:\n%s", want, body)

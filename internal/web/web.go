@@ -13,6 +13,7 @@ import (
 	"html"
 	"io"
 	"net/http"
+	"regexp"
 	"strconv"
 	"strings"
 	"time"
@@ -268,6 +269,9 @@ func (s *Server) handleResource(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing iri", http.StatusBadRequest)
 		return
 	}
+	if rejectParam(w, "iri", iri) {
+		return
+	}
 	a := album.AboutResource(s.Platform.Store, rdf.NewIRI(iri))
 	items, err := a.Items()
 	if err != nil {
@@ -310,6 +314,9 @@ func (s *Server) handleAbout(w http.ResponseWriter, r *http.Request) {
 	lang := r.URL.Query().Get("lang")
 	if lang == "" {
 		lang = "it" // the paper's query filters italian abstracts
+	}
+	if rejectParam(w, "lang", lang) {
+		return
 	}
 	res, err := s.Engine.QueryCtx(r.Context(), AboutMashupQuery(c.IRI.Value(), lang))
 	if err != nil {
@@ -692,6 +699,9 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing iri", http.StatusBadRequest)
 		return
 	}
+	if rejectParam(w, "iri", iri) {
+		return
+	}
 	res, err := s.Engine.QueryCtx(r.Context(), "DESCRIBE <"+iri+">")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -708,6 +718,31 @@ func (s *Server) handleDescribe(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/turtle")
 	rdf.WriteTurtle(w, res.Triples, rdf.CommonPrefixes())
+}
+
+// langTag is the shape of a language tag langMatches can be given.
+var langTag = regexp.MustCompile(`^[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8})*$`)
+
+// rejectParam answers 400 and reports true when a request parameter
+// that a handler splices into SPARQL text would end its token early:
+// an "iri" must fit the IRIREF production (no byte <= 0x20, none of
+// <>"{}|^`\), since the lexer ends <...> at the first '>', and a
+// "lang" must be a language tag, since it sits inside '...'. Handlers
+// call it before any query text is built.
+func rejectParam(w http.ResponseWriter, name, value string) bool {
+	ok := false
+	switch name {
+	case "iri":
+		ok = strings.IndexFunc(value, func(r rune) bool {
+			return r <= 0x20 || strings.ContainsRune("<>\"{}|^`\\", r)
+		}) < 0
+	case "lang":
+		ok = langTag.MatchString(value)
+	}
+	if !ok {
+		http.Error(w, "bad "+name, http.StatusBadRequest)
+	}
+	return !ok
 }
 
 // writeJSON encodes v into a buffer first so an encoding failure can

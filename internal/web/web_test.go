@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"lodify/internal/ctxmgr"
 	"lodify/internal/geo"
 	"lodify/internal/lod"
+	"lodify/internal/obs"
 	"lodify/internal/resolver"
 	"lodify/internal/ugc"
 )
@@ -153,6 +155,61 @@ func TestResourceListing(t *testing.T) {
 	}
 	if rec := get(t, s, "/api/resource", nil); rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing iri code = %d", rec.Code)
+	}
+}
+
+// TestHostileIRIAndLangRejected holds the three routes that splice a
+// request parameter into SPARQL text to the input check: a value that
+// would end the <...> or '...' token early ("x> <y" describes two
+// resources) is a 400 and no query runs, while ordinary values still
+// pass through.
+func TestHostileIRIAndLangRejected(t *testing.T) {
+	s, _ := server(t)
+	hostileIRIs := []string{
+		"x> <y", "http://ex.org/a b", "http://ex.org/a\nb", "http://ex.org/\x00",
+		`http://ex.org/"q`, "http://ex.org/{a}", "http://ex.org/a|b", "http://ex.org/a^b",
+		"http://ex.org/a`b", `http://ex.org/a\b`, "<http://ex.org/a>",
+	}
+	hostileLangs := []string{
+		"it') . ?s ?p ?o . FILTER ('a' = 'a", "it'", "en US", "en_US", "-en", "en-",
+		"abcdefghi", "é", "1a",
+	}
+	var cases []string
+	for _, iri := range hostileIRIs {
+		cases = append(cases,
+			"/api/resource?iri="+url.QueryEscape(iri),
+			"/describe?iri="+url.QueryEscape(iri))
+	}
+	for _, lang := range hostileLangs {
+		cases = append(cases, "/api/about?pid=1&lang="+url.QueryEscape(lang))
+	}
+	queries := func() int64 { return obs.Default.CounterValue("lodify_sparql_queries_total") }
+	for _, u := range cases {
+		before := queries()
+		rec := get(t, s, u, nil)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: code = %d, want 400 (body %q)", u, rec.Code, rec.Body.String())
+		}
+		if ran := queries() - before; ran != 0 {
+			t.Errorf("%s: %d queries reached the engine", u, ran)
+		}
+	}
+
+	// The check is no stricter than IRIREF and language tags.
+	mole := lod.DBpediaResource + "Mole_Antonelliana"
+	for u, want := range map[string]int{
+		"/api/resource?iri=" + url.QueryEscape(mole):                              http.StatusOK,
+		"/api/resource?iri=" + url.QueryEscape("http://ex.org/caffè#a%20b?c=d&e"): http.StatusOK,
+		"/describe?iri=" + url.QueryEscape(mole):                                  http.StatusOK,
+		"/describe?iri=" + url.QueryEscape("urn:x:nobody"):                        http.StatusNotFound,
+		"/api/about?pid=1":                 http.StatusOK,
+		"/api/about?pid=1&lang=en":         http.StatusOK,
+		"/api/about?pid=1&lang=en-GB":      http.StatusOK,
+		"/api/about?pid=1&lang=zh-Hant-TW": http.StatusOK,
+	} {
+		if rec := get(t, s, u, nil); rec.Code != want {
+			t.Errorf("%s: code = %d, want %d (body %q)", u, rec.Code, want, rec.Body.String())
+		}
 	}
 }
 
